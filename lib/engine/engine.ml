@@ -82,12 +82,12 @@ let add_phase t phase dt =
   Mutex.unlock t.phase_lock
 
 let timed t ~phase f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Lattice_obs.Clock.now_ns () in
   let sp = if Trace.on () then Trace.begin_span ~cat:"engine" phase else Trace.null in
   Fun.protect
     ~finally:(fun () ->
       Trace.end_span sp;
-      add_phase t phase (Unix.gettimeofday () -. t0))
+      add_phase t phase (Lattice_obs.Clock.ns_to_s (Lattice_obs.Clock.now_ns () - t0)))
     f
 
 let traced_job ?phase f =
@@ -202,14 +202,15 @@ let copy_result = function
 let failure_iterations (f : Sp.Dcop.failure) =
   List.fold_left (fun acc (_, n) -> acc + n) 0 f.Sp.Dcop.attempts
 
-let dc_op t ?(options = Sp.Dcop.default_options) ?cancel netlist =
-  let key = Key.dc_op ~options netlist in
+(* the one counted lookup per call: [build] runs only on a miss *)
+let dc_op_keyed t ?(options = Sp.Dcop.default_options) ?cancel ~key build =
   match Cache.find t.dc_cache ~key with
   | Some r ->
     Trace.attribute_cache_hit ();
     copy_result r
   | None ->
     Trace.attribute_dc_solve ();
+    let netlist = build () in
     (* a cancelled solve raises out of [solve_diag] before any of the
        bookkeeping below — partial results are never cached *)
     let r = Sp.Dcop.solve_diag ~options ?cancel netlist in
@@ -224,6 +225,9 @@ let dc_op t ?(options = Sp.Dcop.default_options) ?cancel netlist =
     Metrics.Counter.add newton_counter iters;
     Cache.add t.dc_cache ~key (copy_result r);
     r
+
+let dc_op t ?(options = Sp.Dcop.default_options) ?cancel netlist =
+  dc_op_keyed t ~options ?cancel ~key:(Key.dc_op ~options netlist) (fun () -> netlist)
 
 type telemetry = {
   domains : int;

@@ -109,8 +109,9 @@ val run_jobs :
   (attempt:int -> cancel:Cancel.t -> int -> 'a) ->
   'a Pool.outcome array
 
-(** [timed e ~phase f] runs [f ()], accruing its wall-clock time to
-    [phase] (times with the same phase name accumulate). *)
+(** [timed e ~phase f] runs [f ()], accruing its elapsed time (read
+    from the monotonic {!Lattice_obs.Clock}) to [phase] (times with the
+    same phase name accumulate). *)
 val timed : t -> phase:string -> (unit -> 'a) -> 'a
 
 (** [dc_op e ?options ?cancel netlist] is
@@ -126,6 +127,22 @@ val dc_op :
   ?options:Lattice_spice.Dcop.options ->
   ?cancel:Cancel.t ->
   Lattice_spice.Netlist.t ->
+  (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
+
+(** [dc_op_keyed e ?options ?cancel ~key build] is {!dc_op} for a
+    caller that already holds the content key of the netlist [build]
+    would return — it must equal [Key.dc_op ?options (build ())]. The
+    cache is consulted once, under [key]; [build] runs only on a miss,
+    so a warm caller skips netlist construction and the digest
+    entirely. Telemetry and trace attribution are those of {!dc_op},
+    which is [dc_op_keyed ~key:(Key.dc_op ~options netlist)
+    (fun () -> netlist)]. *)
+val dc_op_keyed :
+  t ->
+  ?options:Lattice_spice.Dcop.options ->
+  ?cancel:Cancel.t ->
+  key:string ->
+  (unit -> Lattice_spice.Netlist.t) ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
 
 type telemetry = {

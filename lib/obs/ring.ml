@@ -38,17 +38,34 @@ let dummy = { name = ""; cat = ""; dom = -1; ts_ns = 0; dur_ns = 0; args = [] }
 
 type ring = { slots : span array; cursor : int Atomic.t }
 
-(* rings of every domain that ever recorded; registration happens once
-   per domain (DLS init), never on a hot path *)
+(* Every ring ever allocated, live or free. A domain takes a ring at its
+   first record (DLS init, never on a hot path) and hands it back to
+   [free] when it exits, so the next domain reuses it: the registry is
+   bounded by the peak number of live domains, not by how many the
+   process ever spawned. A freed ring keeps its spans until its next
+   owner overwrites them, so dumps still see what exited domains did. *)
 let registry : ring list ref = ref []
+let free : ring list ref = ref []
 let registry_lock = Mutex.create ()
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make capacity dummy; cursor = Atomic.make 0 } in
       Mutex.lock registry_lock;
-      registry := r :: !registry;
+      let r =
+        match !free with
+        | r :: rest ->
+          free := rest;
+          r
+        | [] ->
+          let r = { slots = Array.make capacity dummy; cursor = Atomic.make 0 } in
+          registry := r :: !registry;
+          r
+      in
       Mutex.unlock registry_lock;
+      Domain.at_exit (fun () ->
+          Mutex.lock registry_lock;
+          free := r :: !free;
+          Mutex.unlock registry_lock);
       r)
 
 let record span =
@@ -58,11 +75,13 @@ let record span =
     r.slots.(i land mask) <- span
   end
 
-let rings () =
+let all_rings () =
   Mutex.lock registry_lock;
   let rs = !registry in
   Mutex.unlock registry_lock;
   rs
+
+let rings () = List.length (all_rings ())
 
 let dump ?last_n () =
   let out = ref [] in
@@ -75,7 +94,7 @@ let dump ?last_n () =
         let s = r.slots.(k land mask) in
         if s != dummy then out := s :: !out
       done)
-    (rings ());
+    (all_rings ());
   let sorted = List.sort (fun a b -> Int.compare a.ts_ns b.ts_ns) !out in
   match last_n with
   | None -> sorted
@@ -85,14 +104,14 @@ let dump ?last_n () =
     if len <= n then sorted else List.filteri (fun i _ -> i >= len - n) sorted
 
 let recorded () =
-  List.fold_left (fun acc r -> acc + Int.min (Atomic.get r.cursor) capacity) 0 (rings ())
+  List.fold_left (fun acc r -> acc + Int.min (Atomic.get r.cursor) capacity) 0 (all_rings ())
 
 let reset () =
   List.iter
     (fun r ->
       Atomic.set r.cursor 0;
       Array.fill r.slots 0 capacity dummy)
-    (rings ())
+    (all_rings ())
 
 (* --- serialization ------------------------------------------------------ *)
 

@@ -49,6 +49,12 @@ val dump_jsonl : ?last_n:int -> unit -> string
     wrapping the lines in a JSON array yields a Perfetto-loadable
     trace. *)
 
+val rings : unit -> int
+(** Number of rings allocated. A domain returns its ring when it exits
+    and the next domain to record reuses it, so this is bounded by the
+    peak number of live recording domains, however many the process
+    has spawned. *)
+
 val recorded : unit -> int
 (** Number of spans currently held across all rings. *)
 

@@ -29,7 +29,7 @@ let epoch = Clock.now_ns ()
 let next_id = Atomic.make 0
 
 type buf = {
-  dom : int;
+  mutable dom : int;  (* current owner; reset when a new domain reuses it *)
   mutable events : event array;
   mutable len : int;
   mutable stack : event list; (* open spans, innermost first *)
@@ -38,21 +38,43 @@ type buf = {
 let dummy =
   { id = -1; parent = -1; name = ""; cat = ""; tid = 0; ts_ns = 0; dur_ns = 0; args = []; kind = Instant }
 
-(* Buffers of every domain that ever recorded, for {!events}/{!reset}.
-   Registration happens once per domain (DLS init), so the mutex is
-   never on a hot path. *)
+(* Every buffer ever allocated, for {!events}/{!reset}. A domain takes a
+   buffer at its first record (DLS init, so the mutex is never on a hot
+   path) and returns it to [free] when it exits; the next domain reuses
+   it, keeping the events already recorded there. The registry is thus
+   bounded by the peak number of live domains. *)
 let registry : buf list ref = ref []
+let free : buf list ref = ref []
 let registry_lock = Mutex.create ()
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      let b =
-        { dom = (Domain.self () :> int); events = Array.make 256 dummy; len = 0; stack = [] }
-      in
+      let dom = (Domain.self () :> int) in
       Mutex.lock registry_lock;
-      registry := b :: !registry;
+      let b =
+        match !free with
+        | b :: rest ->
+          free := rest;
+          b.dom <- dom;
+          b.stack <- [];
+          b
+        | [] ->
+          let b = { dom; events = Array.make 256 dummy; len = 0; stack = [] } in
+          registry := b :: !registry;
+          b
+      in
       Mutex.unlock registry_lock;
+      Domain.at_exit (fun () ->
+          Mutex.lock registry_lock;
+          free := b :: !free;
+          Mutex.unlock registry_lock);
       b)
+
+let buffers () =
+  Mutex.lock registry_lock;
+  let n = List.length !registry in
+  Mutex.unlock registry_lock;
+  n
 
 let buf () = Domain.DLS.get dls_key
 

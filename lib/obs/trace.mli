@@ -125,3 +125,9 @@ val events : unit -> event list
 val reset : unit -> unit
 (** Drop all recorded events (buffers stay registered). Quiescent
     points only. *)
+
+val buffers : unit -> int
+(** Number of per-domain buffers allocated. A domain returns its buffer
+    when it exits and the next domain to record reuses it (events
+    already there are kept), so this is bounded by the peak number of
+    live recording domains. *)

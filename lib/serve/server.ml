@@ -83,9 +83,66 @@ type conn = {
 
 type job = { jconn : conn; env : Protocol.envelope; enqueued_at : float }
 
+(* --- dc_op request memo ----------------------------------------------------- *)
+
+(* What a valid [dc_op] request determines before any solve: the engine
+   key of its netlist, the output node, the truth-table verdict and the
+   effective supply. All are pure functions of (expr, state, vdd), so a
+   repeat request renders straight from the engine cache without
+   synthesis, netlist build or digest. Only validated requests are
+   added, so errors are recomputed (identically) every time. *)
+type dc_fact = { key : string; output : Sp.Netlist.node; expected_high : bool; vdd : float }
+
+(* FIFO-bounded like {!Lattice_engine.Cache}, but uncounted there:
+   memo lookups are not result-cache lookups *)
+type memo_key = string * int * int64 option  (* expr text, state, vdd bits *)
+
+type memo = {
+  capacity : int;
+  table : (memo_key, dc_fact) Hashtbl.t;
+  order : memo_key Queue.t;  (* front = oldest *)
+  mlock : Mutex.t;
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+}
+
+let memo_create capacity =
+  {
+    capacity;
+    table = Hashtbl.create 256;
+    order = Queue.create ();
+    mlock = Mutex.create ();
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+  }
+
+let memo_find m k =
+  Mutex.lock m.mlock;
+  let r = Hashtbl.find_opt m.table k in
+  Mutex.unlock m.mlock;
+  Atomic.incr (if r = None then m.misses else m.hits);
+  r
+
+let memo_add m k v =
+  Mutex.lock m.mlock;
+  if not (Hashtbl.mem m.table k) then begin
+    if Hashtbl.length m.table >= m.capacity then
+      Option.iter (Hashtbl.remove m.table) (Queue.take_opt m.order);
+    Hashtbl.replace m.table k v;
+    Queue.add k m.order
+  end;
+  Mutex.unlock m.mlock
+
+let memo_size m =
+  Mutex.lock m.mlock;
+  let n = Hashtbl.length m.table in
+  Mutex.unlock m.mlock;
+  n
+
 type t = {
   config : config;
   engine : Engine.t;
+  dc_memo : memo;
   queue : job Queue.t;
   qlock : Mutex.t;
   qcond : Condition.t;
@@ -129,6 +186,7 @@ let create ?(config = default_config) () =
     engine =
       Engine.create ?domains:config.domains ~cache_capacity:config.cache_capacity
         ?store_dir:config.store_dir ();
+    dc_memo = memo_create config.cache_capacity;
     queue = Queue.create ();
     qlock = Mutex.create ();
     qcond = Condition.create ();
@@ -172,7 +230,8 @@ let log t fmt =
     (fun line -> match t.config.log with None -> () | Some f -> f line)
     fmt
 
-let now () = Unix.gettimeofday ()
+(* monotonic seconds, for intervals and deadlines only *)
+let now () = Clock.ns_to_s (Clock.now_ns ())
 
 (* --- request handlers --------------------------------------------------- *)
 
@@ -200,7 +259,8 @@ let grid_of_expr expr =
     in
     (tt, nvars, grid)
 
-let handle_dc_op t ~cancel ~expr ~state ~vdd =
+(* validates the request (raising [Handler_error]) and builds its circuit *)
+let dc_circuit ~expr ~state ~vdd =
   let tt, nvars, grid = grid_of_expr expr in
   let states = 1 lsl nvars in
   if state >= states then
@@ -213,21 +273,41 @@ let handle_dc_op t ~cancel ~expr ~state ~vdd =
   in
   let vdd = config.Sp.Lattice_circuit.vdd in
   let stimulus v = Sp.Source.Dc (if (state lsr v) land 1 = 1 then vdd else 0.0) in
-  let lc = Sp.Lattice_circuit.build ~config grid ~stimulus in
-  let netlist = lc.Sp.Lattice_circuit.netlist in
-  match Engine.dc_op t.engine ~cancel netlist with
+  (tt, vdd, Sp.Lattice_circuit.build ~config grid ~stimulus)
+
+let handle_dc_op t ~cancel ~expr ~state ~vdd =
+  let mkey = (expr, state, Option.map Int64.bits_of_float vdd) in
+  let fact, build =
+    match memo_find t.dc_memo mkey with
+    | Some fact ->
+      (* rebuilt only if the engine has since evicted the result *)
+      (fact, fun () -> let _, _, lc = dc_circuit ~expr ~state ~vdd in lc.Sp.Lattice_circuit.netlist)
+    | None ->
+      let tt, vdd, lc = dc_circuit ~expr ~state ~vdd in
+      let netlist = lc.Sp.Lattice_circuit.netlist in
+      let fact =
+        {
+          key = Lattice_engine.Key.dc_op netlist;
+          output = Sp.Netlist.node netlist lc.Sp.Lattice_circuit.output_node;
+          (* the lattice is a pull-down network: the output is the complement *)
+          expected_high = not (Tt.eval tt state);
+          vdd;
+        }
+      in
+      memo_add t.dc_memo mkey fact;
+      (fact, fun () -> netlist)
+  in
+  match Engine.dc_op_keyed t.engine ~cancel ~key:fact.key build with
   | Error f -> h_reject Protocol.Non_convergent "%s" (Sp.Dcop.pp_failure f)
   | Ok (x, diag) ->
-    let v = Sp.Mna.voltage x (Sp.Netlist.node netlist lc.Sp.Lattice_circuit.output_node) in
-    (* the lattice is a pull-down network: the output is the complement *)
-    let expected_high = not (Tt.eval tt state) in
+    let v = Sp.Mna.voltage x fact.output in
     Json.Obj
       [
         ("expr", Json.String expr);
         ("state", Json.Int state);
         ("output_v", Protocol.json_float v);
-        ("logic_high", Json.Bool (v > vdd /. 2.0));
-        ("expected_high", Json.Bool expected_high);
+        ("logic_high", Json.Bool (v > fact.vdd /. 2.0));
+        ("expected_high", Json.Bool fact.expected_high);
         ("strategy", Json.String (Sp.Dcop.strategy_name diag.Sp.Dcop.strategy));
         ("newton_iterations", Json.Int diag.Sp.Dcop.newton_iterations);
       ]
@@ -587,6 +667,14 @@ let stats_json t =
               | None -> Json.Null
               | Some d -> Json.String d );
           ] );
+      ( "request_memo",
+        Json.Obj
+          [
+            ("hits", Json.Int (Atomic.get t.dc_memo.hits));
+            ("misses", Json.Int (Atomic.get t.dc_memo.misses));
+            ("size", Json.Int (memo_size t.dc_memo));
+            ("capacity", Json.Int t.dc_memo.capacity);
+          ] );
       (let all, per = window_snaps t in
        ( "window",
          Json.Obj
@@ -640,6 +728,8 @@ let prometheus_text t =
   counter "ftl_engine_retries_total" tel.Engine.retries;
   counter "ftl_engine_cache_hits_total" tel.Engine.cache.C.hits;
   counter "ftl_engine_cache_misses_total" tel.Engine.cache.C.misses;
+  counter "ftl_request_memo_hits_total" (Atomic.get t.dc_memo.hits);
+  counter "ftl_request_memo_misses_total" (Atomic.get t.dc_memo.misses);
   let all, per = window_snaps t in
   gauge "ftl_window_seconds" (Rolling.window_s t.rolling_all);
   Buffer.add_string b "# TYPE ftl_request_duration_seconds summary\n";

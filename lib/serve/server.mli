@@ -23,6 +23,21 @@
     restarts: a restarted daemon answers repeat requests from disk with
     zero DC solves.
 
+    {2 Warm [dc_op]}
+
+    A [dc_op] answer depends only on its validated [(expr, state,
+    vdd)]. Each server keeps a memo of those requests, bounded by
+    [cache_capacity] (FIFO), mapping them to the facts that need no
+    solve: the engine cache key, the output node, the expected logic
+    level and the effective supply. A repeat request goes straight to
+    {!Lattice_engine.Engine.dc_op_keyed} under the memoized key —
+    no synthesis, netlist build or digest — and the circuit is rebuilt
+    only if the engine has since evicted the result. Replies are
+    byte-identical to a cold answer; invalid requests are never
+    memoized; each request still costs exactly one counted engine
+    cache lookup, so engine telemetry is unchanged. [stats] reports the
+    memo as [request_memo {hits, misses, size, capacity}].
+
     {2 Shutdown}
 
     [shutdown] requests and SIGINT/SIGTERM (wired by {!run}) share one

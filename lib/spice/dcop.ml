@@ -267,17 +267,11 @@ let newton ?gshunt ?plan ?iter_count ?on_iter ?cancel netlist ~options ~x0 ~time
   in
   (dst, iters)
 
-let last_diag : (diagnostics, failure) result option ref = ref None
-
-let last_solve_diagnostics () = !last_diag
-
 let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = Cancel.none)
     netlist =
   let n = Netlist.unknowns netlist in
   if n = 0 then begin
-    let d = { strategy = Plain; attempts = []; newton_iterations = 0; conv_trace = [] } in
-    last_diag := Some (Ok d);
-    Ok ([||], d)
+    Ok ([||], { strategy = Plain; attempts = []; newton_iterations = 0; conv_trace = [] })
   end
   else begin
     Metrics.Counter.incr solves_counter;
@@ -370,7 +364,6 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
         in
         Metrics.Histogram.observe newton_iter_hist (float_of_int (total ()));
         Trace.end_span sp;
-        last_diag := Some (Error f);
         Error f
       | (tag, attempt) :: rest -> (
         Cancel.check cancel;
@@ -391,7 +384,6 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
           in
           Metrics.Histogram.observe newton_iter_hist (float_of_int d.newton_iterations);
           Trace.end_span sp;
-          last_diag := Some (Ok d);
           Ok (x, d)
         | exception Convergence_failure msg ->
           Trace.end_span asp;

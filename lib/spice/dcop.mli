@@ -183,8 +183,3 @@ val solve :
   Netlist.t ->
   Lattice_numerics.Vec.t
 
-val last_solve_diagnostics : unit -> (diagnostics, failure) result option
-(** Diagnostics of the most recent {!solve} / {!solve_diag} in this
-    process — how legacy callers of {!solve} observe the winning
-    strategy (via {!strategy_index}) and per-rung iteration counts
-    without changing their call sites. Process-global; not thread-safe. *)

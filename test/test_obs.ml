@@ -108,9 +108,16 @@ let test_multi_domain_buffers () =
 let test_ring_wrap_under_domains () =
   Ring.set_enabled true;
   let per_domain = (2 * Ring.capacity) + 100 in
+  (* every hammer stays alive until all four have recorded: a domain
+     that exits returns its ring for the next spawn to reuse *)
+  let finished = Atomic.make 0 in
   let hammer () =
     for i = 1 to per_domain do
       Trace.with_span ~cat:"hammer" (Printf.sprintf "h%d" i) (fun () -> ())
+    done;
+    Atomic.incr finished;
+    while Atomic.get finished < 4 do
+      Domain.cpu_relax ()
     done
   in
   let doms = Array.init 4 (fun _ -> Domain.spawn hammer) in
@@ -135,6 +142,46 @@ let test_ring_wrap_under_domains () =
   let newest_full = List.nth spans (List.length spans - 1) in
   let newest_last = List.nth last 9 in
   Alcotest.(check string) "last_n keeps the newest" newest_full.Ring.name newest_last.Ring.name
+
+(* A domain hands its ring and trace buffer back when it exits and the
+   next domain reuses them, so 64 short-lived domains leave the
+   registries bounded by the peak number of live domains, while dumps
+   still hold the newest spans and traces every event. *)
+let test_registries_bounded_by_live_domains () =
+  Ring.set_enabled true;
+  Trace.set_enabled true;
+  let live = 4 and total = 64 and per_domain = 8 in
+  let rings0 = Ring.rings () and buffers0 = Trace.buffers () in
+  (* the spawned wave plus the main domain, plus one *)
+  let bound = live + 2 in
+  for wave = 0 to (total / live) - 1 do
+    let record d () =
+      for i = 1 to per_domain do
+        Trace.with_span (Printf.sprintf "d%d.s%d" d i) (fun () -> ())
+      done
+    in
+    let doms = Array.init live (fun k -> Domain.spawn (record ((wave * live) + k))) in
+    Array.iter Domain.join doms
+  done;
+  Trace.set_enabled false;
+  Ring.set_enabled false;
+  Alcotest.(check bool)
+    (Printf.sprintf "rings %d bounded by live domains" (Ring.rings ()))
+    true
+    (Ring.rings () <= Int.max rings0 bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "trace buffers %d bounded by live domains" (Trace.buffers ()))
+    true
+    (Trace.buffers () <= Int.max buffers0 bound);
+  let newest =
+    List.map (fun (s : Ring.span) -> s.Ring.name) (Ring.dump ~last_n:(live * per_domain) ())
+  in
+  for i = 1 to per_domain do
+    let name = Printf.sprintf "d%d.s%d" (total - 1) i in
+    Alcotest.(check bool) (name ^ " in the newest spans") true (List.mem name newest)
+  done;
+  Alcotest.(check int) "reused buffers keep every traced span" (total * per_domain)
+    (List.length (Trace.events ()))
 
 let test_ring_disabled_records_nothing () =
   Trace.with_span "invisible" (fun () -> ());
@@ -541,6 +588,7 @@ let () =
       ( "ring",
         [
           t "wrap and dump under 4-domain hammering" test_ring_wrap_under_domains;
+          t "registries bounded by live domains" test_registries_bounded_by_live_domains;
           t "disabled records nothing" test_ring_disabled_records_nothing;
           t "dump_jsonl chrome events" test_ring_dump_jsonl;
           t "spans carry the remote context" test_ring_spans_carry_remote_context;

@@ -240,8 +240,8 @@ let test_framing_huge_unterminated () =
 (* --- live daemon ------------------------------------------------------------ *)
 
 let with_server ?(workers = 2) ?(queue = 64) ?(quota = 16) ?(allow_sleep = false)
-    ?(max_frame = 65536) ?default_deadline_s ?store_dir ?flight_dir ?slow_threshold_s
-    ?access_log_path f =
+    ?(max_frame = 65536) ?(domains = 2) ?(cache_capacity = S.default_config.S.cache_capacity)
+    ?default_deadline_s ?store_dir ?flight_dir ?slow_threshold_s ?access_log_path f =
   let dir = temp_dir "ftl-serve" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "daemon.sock" in
@@ -249,7 +249,8 @@ let with_server ?(workers = 2) ?(queue = 64) ?(quota = 16) ?(allow_sleep = false
     {
       S.default_config with
       S.socket_path = Some path;
-      domains = Some 2;
+      domains = Some domains;
+      cache_capacity;
       store_dir;
       workers;
       queue_capacity = queue;
@@ -816,6 +817,11 @@ let test_daemon_stats_window_and_metrics_text () =
        <= (num [ "window"; "all"; "max_ms" ] *. Float.sqrt 2.0) +. 1e-9);
   Alcotest.(check int) "no timeouts yet" 0 (get_server_stat c "request_timeouts");
   Alcotest.(check int) "no dumps yet" 0 (get_server_stat c "flight_dumps");
+  List.iter
+    (fun (f, v) ->
+      Alcotest.(check bool) (Printf.sprintf "request_memo.%s = %g" f v) true
+        (num [ "request_memo"; f ] = v))
+    [ ("hits", 0.0); ("misses", 1.0); ("size", 1.0); ("capacity", 4096.0) ];
   (* the same window, rendered as Prometheus exposition text *)
   match C.call c ~type_:"metrics_text" [] with
   | Error (code, msg) -> Alcotest.failf "metrics_text failed: %s: %s" (P.code_name code) msg
@@ -841,6 +847,8 @@ let test_daemon_stats_window_and_metrics_text () =
         {|ftl_window_timeouts{type="ping"}|};
         "ftl_engine_dc_solves_total";
         "ftl_flight_dumps_total";
+        "# TYPE ftl_request_memo_hits_total counter";
+        "ftl_request_memo_misses_total 1";
         "ftl_window_seconds 60";
       ]
 
@@ -926,6 +934,212 @@ let test_daemon_access_log () =
       (J.member "outcome" j = Some (J.String (P.code_name P.Timeout)))
   | None -> Alcotest.fail "no sleep access line"
 
+(* --- warm dc_op fast path ---------------------------------------------------- *)
+
+let dc_line ?vdd ~id expr state =
+  J.to_string
+    (J.Obj
+       ([
+          ("type", J.String "dc_op");
+          ("id", J.String id);
+          ("expr", J.String expr);
+          ("state", J.Int state);
+        ]
+       @ match vdd with None -> [] | Some v -> [ ("vdd", J.Float v) ]))
+
+let memo_stat c field =
+  match Option.bind (J.member "request_memo" (C.stats c)) (J.member field) with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "stats carries no request_memo.%s" field
+
+let engine_stat c path =
+  let v =
+    List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some (C.stats c)) ("engine" :: path)
+  in
+  match v with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "stats carries no engine.%s" (String.concat "." path)
+
+let with_client path f =
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) (fun () -> f c)
+
+(* every state of three expressions (2-4 variables), without vdd and with
+   two vdd values *)
+let memo_requests =
+  List.concat_map
+    (fun expr ->
+      let _, names = Lattice_boolfn.Expr.parse expr in
+      List.concat_map
+        (fun vdd ->
+          List.init
+            (1 lsl Array.length names)
+            (fun state ->
+              let id =
+                Printf.sprintf "%s/%d/%s" expr state
+                  (match vdd with None -> "-" | Some v -> Printf.sprintf "%g" v)
+              in
+              dc_line ?vdd ~id expr state))
+        [ None; Some 1.1; Some 1.3 ])
+    [ "a^b"; "a^b^c"; "(a^b)(c+d') + a'c" ]
+
+let test_memo_replies_byte_identical () =
+  let n = List.length memo_requests in
+  let first, second =
+    with_server @@ fun _t path ->
+    with_client path @@ fun c ->
+    let first = List.map (C.call_raw c) memo_requests in
+    let second = List.map (C.call_raw c) memo_requests in
+    Alcotest.(check int) "first pass misses the memo" n (memo_stat c "misses");
+    Alcotest.(check int) "second pass hits the memo" n (memo_stat c "hits");
+    Alcotest.(check int) "one memo entry per key" n (memo_stat c "size");
+    Alcotest.(check int) "one solve per key" n (engine_stat c [ "dc_solves" ]);
+    Alcotest.(check int) "one counted cache hit per memo hit" n
+      (engine_stat c [ "cache"; "hits" ]);
+    (first, second)
+  in
+  let fresh =
+    with_server @@ fun _t path -> with_client path @@ fun c -> List.map (C.call_raw c) memo_requests
+  in
+  List.iteri
+    (fun i ((a, b), f) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reply %d ok" i)
+        true
+        (match P.parse_response a with Ok { P.payload = Ok _; _ } -> true | _ -> false);
+      Alcotest.(check string) (Printf.sprintf "reply %d: memo hit = first" i) a b;
+      Alcotest.(check string) (Printf.sprintf "reply %d: first = fresh daemon" i) a f)
+    (List.combine (List.combine first second) fresh)
+
+let test_memo_errors_never_memoized () =
+  with_server @@ fun _t path ->
+  with_client path @@ fun c ->
+  let bad =
+    [
+      dc_line ~id:"bad-expr" "(((" 0;
+      dc_line ~id:"bad-state" "a&b" 9;
+      dc_line ~id:"six-vars" "a&b&c&d&e&f" 0;
+    ]
+  in
+  let round () = List.map (C.call_raw c) bad in
+  let r1 = round () in
+  List.iter
+    (fun line ->
+      match P.parse_response line with
+      | Ok { P.payload = Error (P.Bad_request, _); _ } -> ()
+      | _ -> Alcotest.failf "expected a bad_request error, got %s" line)
+    r1;
+  for k = 2 to 3 do
+    List.iter2
+      (fun a b -> Alcotest.(check string) (Printf.sprintf "round %d: same error bytes" k) a b)
+      r1 (round ())
+  done;
+  Alcotest.(check int) "nothing memoized" 0 (memo_stat c "size");
+  Alcotest.(check int) "every attempt a memo miss" 9 (memo_stat c "misses");
+  Alcotest.(check int) "no memo hits" 0 (memo_stat c "hits");
+  Alcotest.(check int) "nothing solved" 0 (engine_stat c [ "dc_solves" ])
+
+(* a memo hit whose result the engine has evicted rebuilds and re-solves:
+   the yield's dies push the two dc_op results out of a 2-entry cache
+   while the memo (also 2 entries, touched only by dc_op) keeps them *)
+let test_memo_evicted_keys_resolve () =
+  let vdd = Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd in
+  let dc expr state = `Dc (expr, state) in
+  let script =
+    [
+      dc "a^b" 1; dc "a^b" 2; `Yield; dc "a^b" 1; dc "a^b" 2; dc "a^b" 1; dc "a^b" 3;
+      dc "a^b" 1; `Yield; dc "a^b" 3; dc "a^b" 2;
+    ]
+  in
+  let yield_fields =
+    [ ("expr", J.String "a&b"); ("samples", J.Int 2); ("sigma_vth", J.Float 0.02); ("seed", J.Int 7) ]
+  in
+  (* the same engine calls, made directly on an engine sized like the daemon's *)
+  let direct = Engine.create ~domains:1 ~cache_capacity:2 ~store_dir:"" () in
+  let solves () = (Engine.telemetry direct).Engine.dc_solves in
+  (* a FIFO model of the 2-entry memo, and the dc_op keys the engine
+     solved again while the memo still held them *)
+  let memo = ref [] and memo_hits = ref 0 and resolved_hits = ref 0 in
+  let grid_of expr =
+    let ast, names = Lattice_boolfn.Expr.parse expr in
+    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars:(Array.length names) in
+    (tt, (Lattice_synthesis.Altun_riedel.synthesize tt).Lattice_synthesis.Altun_riedel.grid)
+  in
+  List.iter
+    (function
+      | `Dc (expr, state) ->
+        let _, grid = grid_of expr in
+        let stimulus v = Sp.Source.Dc (if (state lsr v) land 1 = 1 then vdd else 0.0) in
+        let lc = Sp.Lattice_circuit.build grid ~stimulus in
+        let before = solves () in
+        ignore (Engine.dc_op direct lc.Sp.Lattice_circuit.netlist);
+        if List.mem (expr, state) !memo then begin
+          incr memo_hits;
+          if solves () > before then incr resolved_hits
+        end
+        else memo := (match !memo with [ _; newer ] -> [ newer ] | m -> m) @ [ (expr, state) ]
+      | `Yield ->
+        let tt, grid = grid_of "a&b" in
+        ignore
+          (Lattice_flow.Monte_carlo.run ~engine:direct
+             ~variation:{ Lattice_flow.Monte_carlo.sigma_vth = 0.02; sigma_kp_rel = 0.1 }
+             ~samples:2 ~seed:7 grid ~target:tt))
+    script;
+  let tel = Engine.telemetry direct in
+  with_server ~domains:1 ~cache_capacity:2 @@ fun _t path ->
+  with_client path @@ fun c ->
+  let replies = Hashtbl.create 8 in
+  List.iter
+    (function
+      | `Dc (expr, state) -> (
+        let line = C.call_raw c (dc_line ~id:"k" expr state) in
+        match Hashtbl.find_opt replies (expr, state) with
+        | None -> Hashtbl.replace replies (expr, state) line
+        | Some first ->
+          Alcotest.(check string) (Printf.sprintf "%s/%d re-answered byte-identically" expr state)
+            first line)
+      | `Yield -> (
+        match C.call c ~type_:"yield" yield_fields with
+        | Ok _ -> ()
+        | Error (code, msg) -> Alcotest.failf "yield failed: %s: %s" (P.code_name code) msg))
+    script;
+  Alcotest.(check int) "memo hits as a 2-entry FIFO predicts" !memo_hits (memo_stat c "hits");
+  Alcotest.(check int) "memo bounded by cache_capacity" 2 (memo_stat c "size");
+  Alcotest.(check int) "dc_solves match a direct engine run" tel.Engine.dc_solves
+    (engine_stat c [ "dc_solves" ]);
+  Alcotest.(check int) "cache hits match a direct engine run" tel.Engine.cache.Lattice_engine.Cache.hits
+    (engine_stat c [ "cache"; "hits" ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d memo hits re-solved an evicted result" !resolved_hits)
+    true (!resolved_hits >= 2)
+
+let test_memo_concurrent_clients () =
+  let keys =
+    List.concat_map
+      (fun expr -> List.init 8 (fun state -> dc_line ~id:(Printf.sprintf "%s/%d" expr state) expr state))
+      [ "a^b^c"; "a&b|c" ]
+  in
+  with_server @@ fun _t path ->
+  let replies = Array.make 4 [] in
+  let client k =
+    with_client path @@ fun c ->
+    (* each client walks the key set from a different offset, twice *)
+    let rotated = List.filteri (fun i _ -> i >= k * 4) keys @ List.filteri (fun i _ -> i < k * 4) keys in
+    let answers = List.map (fun l -> (l, C.call_raw c l)) (rotated @ rotated) in
+    replies.(k) <- List.sort compare answers
+  in
+  let threads = Array.init 4 (Thread.create client) in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun k r ->
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "client %d saw the same bytes as client 0" k)
+        replies.(0) r)
+    replies;
+  with_client path @@ fun c ->
+  Alcotest.(check bool) "memo hits under concurrency" true (memo_stat c "hits" > 0);
+  Alcotest.(check int) "one memo entry per key" (List.length keys) (memo_stat c "size")
+
 let test_daemon_no_listener_rejected () =
   let t = S.create () in
   match S.start t with
@@ -973,6 +1187,16 @@ let () =
           Alcotest.test_case "access log: lines, outcomes, attribution" `Quick
             test_daemon_access_log;
           Alcotest.test_case "no listener rejected" `Quick test_daemon_no_listener_rejected;
+        ] );
+      ( "dc memo",
+        [
+          Alcotest.test_case "memo-hit replies byte-identical" `Quick
+            test_memo_replies_byte_identical;
+          Alcotest.test_case "errors never memoized" `Quick test_memo_errors_never_memoized;
+          Alcotest.test_case "evicted keys re-solve, stats match engine" `Quick
+            test_memo_evicted_keys_resolve;
+          Alcotest.test_case "4 concurrent clients, identical bytes" `Quick
+            test_memo_concurrent_clients;
         ] );
       ("soak", [ Alcotest.test_case "2250 mixed requests, 3 connections" `Quick test_daemon_soak ]);
     ]

@@ -993,11 +993,13 @@ let test_solve_diag_plain_wins () =
     Alcotest.(check int) "strategy index 0" 0 (Sp.Dcop.strategy_index d.Sp.Dcop.strategy);
     Alcotest.(check int) "one attempt" 1 (List.length d.Sp.Dcop.attempts);
     Alcotest.(check bool) "iterations counted" true (d.Sp.Dcop.newton_iterations >= 1);
-    (match Sp.Dcop.last_solve_diagnostics () with
-    | Some (Ok d') ->
-      Alcotest.(check int) "legacy observer sees the win" 0
-        (Sp.Dcop.strategy_index d'.Sp.Dcop.strategy)
-    | _ -> Alcotest.fail "last_solve_diagnostics empty after solve_diag")
+    (* the returned diagnostics name the winning rung and account for
+       every iteration it spent *)
+    Alcotest.(check string) "winning rung named" "plain"
+      (Sp.Dcop.strategy_name d.Sp.Dcop.strategy);
+    Alcotest.(check (list (pair int int))) "attempts hold the win and its iterations"
+      [ (0, d.Sp.Dcop.newton_iterations) ]
+      (List.map (fun (s, k) -> (Sp.Dcop.strategy_index s, k)) d.Sp.Dcop.attempts)
 
 let test_solve_diag_conv_trace () =
   let make () =
@@ -1072,15 +1074,23 @@ let test_solve_diag_failure_ladder () =
 
 let test_legacy_solve_raises_with_diagnostics () =
   let ckt = unsolvable_circuit () in
-  (match Sp.Dcop.solve ~options:hopeless_options ckt with
+  match Sp.Dcop.solve ~options:hopeless_options ckt with
   | exception Sp.Dcop.Convergence_failure msg ->
     Alcotest.(check bool) "message carries the ladder" true
-      (String.length msg > 20)
-  | _ -> Alcotest.fail "legacy solve should raise");
-  match Sp.Dcop.last_solve_diagnostics () with
-  | Some (Error f) ->
-    Alcotest.(check int) "failure observable after raise" 7 (List.length f.Sp.Dcop.attempts)
-  | _ -> Alcotest.fail "last_solve_diagnostics should hold the failure"
+      (String.length msg > 20);
+    (* the failure stays observable after the raise: every one of the 7
+       rungs is named in the message, with its iteration count *)
+    List.iter
+      (fun s ->
+        let rung = Sp.Dcop.strategy_name s ^ ":" in
+        Alcotest.(check bool) (Printf.sprintf "message names rung %s" rung) true
+          (contains msg rung))
+      Sp.Dcop.
+        [
+          Plain; Gmin_stepping; Source_stepping; Damped_plain; Damped_gmin; Damped_source;
+          Gshunt_ramp;
+        ]
+  | _ -> Alcotest.fail "legacy solve should raise"
 
 let test_transient_diag_failure () =
   let ckt = unsolvable_circuit () in
