@@ -398,6 +398,14 @@ let cache_rerun_report () =
   Printf.printf "  %s\n%!" (E.summary engine);
   rate
 
+(* Best-effort recursive delete of a bench temp directory. *)
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    try Unix.rmdir path with Unix.Unix_error _ -> ()
+  end
+  else try Sys.remove path with Sys_error _ -> ()
+
 (* Crash-safe persistent cache: two engines that share nothing but an
    on-disk store directory run the same campaign. The second engine's
    in-memory cache starts cold, so every hit it records is served by the
@@ -433,14 +441,6 @@ let persistent_cache_report () =
     t.E.cache.C.hits lookups (100.0 *. rate)
     (if identical then "bit-identical to the cold run" else "DIVERGED from the cold run");
   Printf.printf "  %s\n%!" (E.summary warm);
-  (* best-effort cleanup of the temp store *)
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    end
-    else try Sys.remove path with Sys_error _ -> ()
-  in
   (try rm_rf dir with Sys_error _ -> ());
   if identical then rate else 0.0
 
@@ -462,13 +462,6 @@ let serve_report ~smoke =
       (Printf.sprintf "ftl-bench-serve-%d" (Unix.getpid ()))
   in
   Unix.mkdir dir 0o755;
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      try Unix.rmdir path with Unix.Unix_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
-  in
   let path = Filename.concat dir "daemon.sock" in
   let config =
     { S.default_config with S.socket_path = Some path; domains = Some 2; workers = 2 }
@@ -741,35 +734,21 @@ let run_benchmarks () =
     all_tests;
   List.rev !results
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json path ~newton_allocation_free ~extras results =
-  let oc = open_out path in
-  output_string oc "{\n  \"newton_inner_loop_allocation_free\": ";
-  output_string oc (if newton_allocation_free then "true" else "false");
-  List.iter
-    (fun (key, v) -> Printf.fprintf oc ",\n  \"%s\": %.4f" (json_escape key) v)
-    extras;
+  let module J = Lattice_obs.Json in
+  let num (key, v) = (key, J.of_float v) in
   (* smoke runs skip the Bechamel suite: no kernels key rather than an
      empty object that consumers would mistake for "measured, found none" *)
-  if results <> [] then begin
-    output_string oc ",\n  \"kernels_ns_per_run\": {\n";
-    List.iteri
-      (fun i (name, ns) ->
-        Printf.fprintf oc "    \"%s\": %.2f%s\n" (json_escape name) ns
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  }\n}\n"
-  end
-  else output_string oc "\n}\n";
+  let kernels =
+    if results = [] then [] else [ ("kernels_ns_per_run", J.Obj (List.map num results)) ]
+  in
+  let doc =
+    J.Obj
+      ((("newton_inner_loop_allocation_free", J.Bool newton_allocation_free) :: List.map num extras)
+      @ kernels)
+  in
+  let oc = open_out path in
+  output_string oc (J.to_string doc ^ "\n");
   close_out oc;
   Printf.printf "wrote %s (%d kernels)\n%!" path (List.length results)
 

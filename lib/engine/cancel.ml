@@ -1,6 +1,3 @@
+(* The engine's name for {!Lattice_spice.Cancel}: one token type shared
+   by engine call sites and the spice inner loops. *)
 include Lattice_spice.Cancel
-
-let of_deadline_s ?parent d =
-  match d with
-  | None -> ( match parent with Some p -> p | None -> none)
-  | Some seconds -> with_deadline ?parent ~seconds ()

@@ -1,111 +1,60 @@
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let add_args_object b args =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-    args;
-  Buffer.add_char b '}'
-
-(* Chrome wants microsecond floats; ns / 1e3 keeps sub-us precision. *)
-let us ns = float_of_int ns /. 1e3
+let event_json ?head (e : Trace.event) =
+  Ring.chrome_event ?head ~name:e.Trace.name ~cat:e.Trace.cat ~tid:e.Trace.tid ~ts_ns:e.Trace.ts_ns
+    ?dur_ns:(match e.Trace.kind with Trace.Span -> Some e.Trace.dur_ns | Trace.Instant -> None)
+    (("span_id", string_of_int e.Trace.id) :: ("parent", string_of_int e.Trace.parent) :: e.Trace.args)
 
 let chrome_json () =
   let evs = Trace.events () in
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let tids = Hashtbl.create 8 in
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char b ',';
-    Buffer.add_string b "\n"
+  let thread_name tid =
+    Json.Obj
+      [
+        ("name", Json.String "thread_name");
+        ("ph", Json.String "M");
+        ("pid", Json.Int 0);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.String (Printf.sprintf "domain %d" tid)) ]);
+      ]
   in
-  List.iter
-    (fun (e : Trace.event) ->
-      if not (Hashtbl.mem tids e.Trace.tid) then begin
-        Hashtbl.replace tids e.Trace.tid ();
-        sep ();
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-             e.Trace.tid e.Trace.tid)
-      end;
-      sep ();
-      (match e.Trace.kind with
-      | Trace.Span ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":"
-             (json_escape e.Trace.name)
-             (json_escape (if e.Trace.cat = "" then "default" else e.Trace.cat))
-             (us e.Trace.ts_ns)
-             (us (Int.max 0 e.Trace.dur_ns))
-             e.Trace.tid)
-      | Trace.Instant ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":0,\"tid\":%d,\"args\":"
-             (json_escape e.Trace.name)
-             (json_escape (if e.Trace.cat = "" then "default" else e.Trace.cat))
-             (us e.Trace.ts_ns) e.Trace.tid));
-      add_args_object b (("span_id", string_of_int e.Trace.id)
-                        :: ("parent", string_of_int e.Trace.parent)
-                        :: e.Trace.args);
-      Buffer.add_char b '}')
-    evs;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ns\"}\n";
-  Buffer.contents b
+  let tids = List.sort_uniq Int.compare (List.map (fun e -> e.Trace.tid) evs) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.List (List.map thread_name tids @ List.map event_json evs));
+         ("displayTimeUnit", Json.String "ns");
+       ])
+  ^ "\n"
 
 let jsonl () =
-  let b = Buffer.create 65536 in
-  List.iter
-    (fun (e : Trace.event) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"type\":\"%s\",\"id\":%d,\"parent\":%d,\"name\":\"%s\",\"cat\":\"%s\",\"tid\":%d,\"ts_ns\":%d,\"dur_ns\":%d,\"args\":"
-           (match e.Trace.kind with Trace.Span -> "span" | Trace.Instant -> "instant")
-           e.Trace.id e.Trace.parent (json_escape e.Trace.name) (json_escape e.Trace.cat)
-           e.Trace.tid e.Trace.ts_ns
-           (Int.max 0 e.Trace.dur_ns));
-      add_args_object b e.Trace.args;
-      Buffer.add_string b "}\n")
-    (Trace.events ());
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Metrics.Counter_value n ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}\n" (json_escape name) n)
-      | Metrics.Gauge_value g ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%g}\n" (json_escape name) g)
-      | Metrics.Histogram_value h ->
-        let count = Metrics.Histogram.count h in
-        if count > 0 then
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%g,\"min\":%g,\"max\":%g,\"p50\":%g,\"p90\":%g,\"p95\":%g,\"p99\":%g}\n"
-               (json_escape name) count (Metrics.Histogram.sum h)
-               (Metrics.Histogram.min_value h) (Metrics.Histogram.max_value h)
-               (Metrics.Histogram.percentile h 50.0) (Metrics.Histogram.percentile h 90.0)
-               (Metrics.Histogram.percentile h 95.0) (Metrics.Histogram.percentile h 99.0)))
-    (Metrics.snapshot ());
-  Buffer.contents b
+  let event (e : Trace.event) =
+    let kind = match e.Trace.kind with Trace.Span -> "span" | Trace.Instant -> "instant" in
+    event_json ~head:[ ("type", Json.String kind) ] e
+  in
+  let metric (name, v) =
+    let line kind fields = Json.Obj (("type", Json.String kind) :: ("name", Json.String name) :: fields) in
+    match v with
+    | Metrics.Counter_value n -> Some (line "counter" [ ("value", Json.Int n) ])
+    | Metrics.Gauge_value g -> Some (line "gauge" [ ("value", Json.of_float g) ])
+    | Metrics.Histogram_value h ->
+      let count = Metrics.Histogram.count h in
+      let p q = (Printf.sprintf "p%g" q, Json.of_float (Metrics.Histogram.percentile h q)) in
+      if count = 0 then None
+      else
+        Some
+          (line "histogram"
+             [
+               ("count", Json.Int count);
+               ("sum", Json.of_float (Metrics.Histogram.sum h));
+               ("min", Json.of_float (Metrics.Histogram.min_value h));
+               ("max", Json.of_float (Metrics.Histogram.max_value h));
+               p 50.0;
+               p 90.0;
+               p 95.0;
+               p 99.0;
+             ])
+  in
+  List.map event (Trace.events ()) @ List.filter_map metric (Metrics.snapshot ())
+  |> List.map (fun j -> Json.to_string j ^ "\n")
+  |> String.concat ""
 
 let summary () = Metrics.render ()
 

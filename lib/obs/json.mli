@@ -1,7 +1,8 @@
-(** Minimal JSON codec for the newline-delimited serve protocol.
+(** Minimal JSON codec for the newline-delimited serve protocol and
+    every JSON artifact the process writes (trace exports, flight
+    dumps, access logs, bench results).
 
-    The toolchain ships no JSON library, and the protocol needs very
-    little: scalars, arrays, objects, and a printer whose output is a
+    The toolchain ships no JSON library, and these need very little: scalars, arrays, objects, and a printer whose output is a
     {e deterministic function of the value} — the service-layer tests
     assert byte-identical response payloads across daemon restarts, so
     object key order is preserved exactly as constructed and floats
@@ -41,7 +42,11 @@ val to_string : t -> string
     forms) and nothing else;
     integral floats print with a trailing [.0] so they re-parse as
     [Float]; non-finite floats raise [Invalid_argument] — encode them
-    upstream (the protocol layer maps them to strings). *)
+    with {!of_float}. *)
+
+val of_float : float -> t
+(** [Float], or the strings ["inf"]/["-inf"]/["nan"] for non-finite
+    values, so any float prints as valid JSON. *)
 
 (** {2 Accessors} — shape-checking helpers for the protocol layer. *)
 

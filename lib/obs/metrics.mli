@@ -8,12 +8,11 @@
     a global enabled flag first — one atomic load, nothing recorded and
     nothing allocated while metrics are off.
 
-    Counters are Domain-safe atomics. Histograms use fixed power-of-two
-    buckets (log scale, ~1e-12 .. 5e8 with under/overflow buckets), so
-    an observation is a handful of arithmetic ops plus a short
-    mutex-protected bucket bump — cheap enough for once-per-solve and
-    once-per-factor call sites, and exact [min]/[max] are kept so tail
-    percentiles clamp to really-observed values. *)
+    Counters are Domain-safe atomics. A histogram is a {!Loghist}
+    (power-of-two buckets, exact [min]/[max], percentiles clamped to
+    really-observed values) behind a mutex, so an observation is a
+    handful of arithmetic ops plus a short locked bucket bump — cheap
+    enough for once-per-solve and once-per-factor call sites. *)
 
 val on : unit -> bool
 val set_enabled : bool -> unit
@@ -56,13 +55,11 @@ module Histogram : sig
   (** [nan] when empty. *)
 
   val percentile : t -> float -> float
-  (** [percentile h p] for [p] in [0..100]: nearest-rank over the
-      buckets. The first and last ranks return the exact observed
-      [min]/[max]; interior ranks return the geometric midpoint of the
-      selected bucket clamped to [[min, max]]. [nan] when empty. *)
+  (** {!Loghist.percentile}: [p] in [0..100], clamped to
+      [[min, max]]; [nan] when empty. *)
 
   val buckets : t -> (float * float * int) list
-  (** Non-empty buckets as [(lower, upper, count)], ascending. *)
+  (** {!Loghist.buckets}. *)
 end
 
 val counter : string -> Counter.t

@@ -115,51 +115,32 @@ let reset () =
 
 (* --- serialization ------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Chrome wants microsecond floats; ns / 1e3 keeps sub-us precision. *)
+let us ns = Json.Float (float_of_int ns /. 1e3)
 
-(* One Chrome-trace "X" event per line: the same shape Export.chrome_json
-   puts in [traceEvents], so a dump opens in Perfetto after wrapping the
-   lines in a JSON array. *)
-let span_to_json s =
-  let b = Buffer.create 160 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-       (json_escape s.name)
-       (json_escape (if s.cat = "" then "default" else s.cat))
-       s.dom
-       (float_of_int s.ts_ns /. 1e3)
-       (float_of_int s.dur_ns /. 1e3));
-  if s.args <> [] then begin
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      s.args;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let chrome_event ?(head = []) ~name ~cat ~tid ~ts_ns ?dur_ns args =
+  let phase =
+    match dur_ns with
+    | Some d -> [ ("ph", Json.String "X"); ("ts", us ts_ns); ("dur", us (Int.max 0 d)) ]
+    | None -> [ ("ph", Json.String "i"); ("s", Json.String "t"); ("ts", us ts_ns) ]
+  in
+  Json.Obj
+    (head
+    @ [ ("name", Json.String name); ("cat", Json.String (if cat = "" then "default" else cat)) ]
+    @ phase
+    @ [
+        ("pid", Json.Int 0);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) args));
+      ])
 
 let dump_jsonl ?last_n () =
   let b = Buffer.create 4096 in
   List.iter
     (fun s ->
-      Buffer.add_string b (span_to_json s);
+      Buffer.add_string b
+        (Json.to_string
+           (chrome_event ~name:s.name ~cat:s.cat ~tid:s.dom ~ts_ns:s.ts_ns ~dur_ns:s.dur_ns s.args));
       Buffer.add_char b '\n')
     (dump ?last_n ());
   Buffer.contents b

@@ -45,9 +45,24 @@ val dump : ?last_n:int -> unit -> span list
     are diagnostics, not ledgers. *)
 
 val dump_jsonl : ?last_n:int -> unit -> string
-(** {!dump} rendered one Chrome-trace ["X"] event per line (JSONL);
-    wrapping the lines in a JSON array yields a Perfetto-loadable
-    trace. *)
+(** {!dump} rendered one Chrome-trace ["X"] event ({!chrome_event}) per
+    line (JSONL); wrapping the lines in a JSON array yields a
+    Perfetto-loadable trace. *)
+
+val chrome_event :
+  ?head:(string * Json.t) list ->
+  name:string ->
+  cat:string ->
+  tid:int ->
+  ts_ns:int ->
+  ?dur_ns:int ->
+  (string * string) list ->
+  Json.t
+(** One Chrome trace event, the single shape every obs exporter emits:
+    a ["ph":"X"] complete event when [dur_ns] is given, else a
+    thread-scoped ["ph":"i"] instant. Times print in microseconds, an
+    empty [cat] as ["default"], [pid] is 0, the string pairs become
+    ["args"], and [head] fields come first. *)
 
 val rings : unit -> int
 (** Number of rings allocated. A domain returns its ring when it exits

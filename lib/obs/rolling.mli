@@ -3,10 +3,10 @@
 
     The window is a circular array of epoch-tagged buckets; stale
     buckets are recycled lazily on the next observation, so there is no
-    background thread and expiry costs nothing. Percentiles come from
-    the merged log-scale histogram with exact min/max endpoints — the
-    same bucketing as {!Metrics.Histogram}, so interior ranks carry at
-    most ~sqrt(2) relative error.
+    background thread and expiry costs nothing. Each bucket holds a
+    {!Loghist}; percentiles come from their merge, so they share
+    {!Metrics.Histogram}'s bucketing (interior ranks within ~sqrt(2))
+    and are clamped to the window's exact [[min, max]].
 
     The caller supplies timestamps ([now_ns], from {!Clock.now_ns});
     injecting the clock keeps the window algebra testable against a

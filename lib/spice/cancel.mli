@@ -43,6 +43,11 @@ val create : ?deadline_ns:int -> ?parent:t -> unit -> t
     [seconds] of wall-clock from now. [seconds <= 0] fires immediately. *)
 val with_deadline : ?parent:t -> seconds:float -> unit -> t
 
+val of_deadline_s : ?parent:t -> float option -> t
+(** [of_deadline_s ?parent d] — the token a CLI [--deadline] argument
+    means: [None] is [parent] (or {!none}), [Some s] a fresh token
+    firing [s] seconds from now, parented under [parent]. *)
+
 val cancel : t -> unit
 (** Request cancellation: every subsequent {!check} of this token (and
     of tokens parented under it) raises. No-op on {!none}. *)

@@ -9,6 +9,9 @@ module Export = Lattice_obs.Export
 module Ring = Lattice_obs.Ring
 module Rolling = Lattice_obs.Rolling
 module Spool = Lattice_obs.Spool
+module Json = Lattice_obs.Json
+
+open Support
 
 (* Every test owns the global flags: start from a known state and leave
    everything disabled and empty (the suite may run under FTL_TRACE=1;
@@ -207,7 +210,8 @@ let test_ring_dump_jsonl () =
   Alcotest.(check bool) "name present" true (contains "\"name\":\"jsonl-span\"");
   Alcotest.(check bool) "args object present" true (contains "\"args\":{");
   Alcotest.(check bool) "arg value escaped" true (contains "v\\\"q");
-  Alcotest.(check bool) "duration in us" true (contains "\"dur\":")
+  Alcotest.(check bool) "duration in us" true (contains "\"dur\":");
+  Alcotest.(check bool) "line parses" true (Result.is_ok (Json.parse_result l))
 
 (* daemon-side requirement: spans completed inside a remote context carry
    the caller's correlation ids even when only the ring is recording *)
@@ -315,21 +319,36 @@ let test_rolling_rate () =
   let s = Rolling.snapshot t ~now_ns:(s_to_ns 30.0) in
   Alcotest.(check (float 1e-9)) "rate over the window" 2.0 s.Rolling.rate_per_s
 
+(* interior ranks report a bucket midpoint, which must still clamp to the
+   window's exact extremes: three 1.0 s requests are p50 = 1.0, not the
+   [1, 2) bucket's sqrt 2 *)
+let test_rolling_percentiles_clamped () =
+  let t = Rolling.create () in
+  let now = s_to_ns 100.0 in
+  for _ = 1 to 3 do
+    Rolling.observe t ~now_ns:now ~dur_s:1.0 ~outcome:Rolling.Ok
+  done;
+  let s = Rolling.snapshot t ~now_ns:now in
+  List.iter
+    (fun (name, v) -> Alcotest.(check (float 0.0)) name 1.0 v)
+    [ ("p50", s.Rolling.p50_s); ("p95", s.Rolling.p95_s); ("p99", s.Rolling.p99_s);
+      ("max", s.Rolling.max_s) ];
+  let st = Random.State.make [| 7 |] in
+  for trial = 1 to 50 do
+    Rolling.reset t;
+    for _ = 1 to 1 + Random.State.int st 40 do
+      Rolling.observe t ~now_ns:now ~dur_s:(Random.State.float st 2.0) ~outcome:Rolling.Ok
+    done;
+    let s = Rolling.snapshot t ~now_ns:now in
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "trial %d: %s <= max" trial name)
+          true (v <= s.Rolling.max_s))
+      [ ("p50", s.Rolling.p50_s); ("p95", s.Rolling.p95_s); ("p99", s.Rolling.p99_s) ]
+  done
+
 (* --- spool ------------------------------------------------------------------ *)
-
-let temp_dir prefix =
-  let d = Filename.temp_file prefix "" in
-  Sys.remove d;
-  Unix.mkdir d 0o755;
-  d
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      try Unix.rmdir path with Unix.Unix_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
 
 let test_spool_count_cap () =
   let dir = temp_dir "spool" in
@@ -506,7 +525,8 @@ let test_chrome_export () =
   Alcotest.(check bool) "quote escaped" true (contains "a\\\"b");
   Alcotest.(check bool) "newline escaped" true (contains "a\\nb");
   Alcotest.(check bool) "object closed" true
-    (String.length json >= 2 && String.sub json (String.length json - 2) 2 = "}\n")
+    (String.length json >= 2 && String.sub json (String.length json - 2) 2 = "}\n");
+  Alcotest.(check bool) "document parses" true (Result.is_ok (Json.parse_result json))
 
 let test_jsonl_export () =
   Trace.set_enabled true;
@@ -559,6 +579,45 @@ let test_write_dispatch () =
   Sys.remove chrome;
   Sys.remove jsonl
 
+let test_jsonl_numbers () =
+  Trace.set_enabled true;
+  Metrics.set_enabled true;
+  Trace.with_span "num-span" (fun () -> Trace.instant "num-mark");
+  let big = 1234567.0 and inexact = 0.1 +. 0.2 in
+  Metrics.Gauge.set (Metrics.gauge "test.num.big") big;
+  Metrics.Gauge.set (Metrics.gauge "test.num.inexact") inexact;
+  Metrics.Gauge.set (Metrics.gauge "test.num.nan") Float.nan;
+  Metrics.Histogram.observe (Metrics.histogram "test.num.hist") inexact;
+  Trace.set_enabled false;
+  Metrics.set_enabled false;
+  let docs =
+    String.split_on_char '\n' (Export.jsonl ())
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Json.parse_result l with
+           | Ok j -> j
+           | Error m -> Alcotest.failf "line does not parse (%s): %s" m l)
+  in
+  let gauge name =
+    List.find_map
+      (fun j ->
+        if Json.member "name" j = Some (Json.String name) then Json.member "value" j else None)
+      docs
+  in
+  let bits name want =
+    match Option.bind (gauge name) Json.to_float with
+    | Some got ->
+      Alcotest.(check int64) (name ^ " bit-identical") (Int64.bits_of_float want)
+        (Int64.bits_of_float got)
+    | None -> Alcotest.failf "%s missing or not a number" name
+  in
+  bits "test.num.big" big;
+  bits "test.num.inexact" inexact;
+  Alcotest.(check bool) "nan gauge as a string" true
+    (gauge "test.num.nan" = Some (Json.String "nan"));
+  Alcotest.(check bool) "span and instant lines" true
+    (List.length (List.filter (fun j -> Json.member "ph" j <> None) docs) = 2)
+
 let test_summary_render () =
   Metrics.set_enabled true;
   Metrics.Counter.add (Metrics.counter "test.render.counter") 3;
@@ -599,6 +658,7 @@ let () =
           t "percentiles vs nearest-rank reference" test_rolling_percentiles_vs_reference;
           t "window expiry and recycle" test_rolling_window_expiry;
           t "rate over the window" test_rolling_rate;
+          t "percentiles clamped to [min, max]" test_rolling_percentiles_clamped;
         ] );
       ( "spool",
         [
@@ -621,5 +681,6 @@ let () =
           t "jsonl" test_jsonl_export;
           t "write dispatch by suffix" test_write_dispatch;
           t "metrics summary" test_summary_render;
+          t "jsonl numbers exact and parseable" test_jsonl_numbers;
         ] );
     ]

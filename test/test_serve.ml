@@ -12,22 +12,7 @@ module F = Lattice_serve.Framing
 module Engine = Lattice_engine.Engine
 module Sp = Lattice_spice
 
-let temp_dir prefix =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s-%d-%06x" prefix (Unix.getpid ()) (Random.bits () land 0xFFFFFF))
-  in
-  Unix.mkdir d 0o755;
-  d
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+open Support
 
 (* --- json codec ------------------------------------------------------------ *)
 
