@@ -8,6 +8,18 @@
 
 open Bechamel
 
+(* The bench kernels have no error channel: a failed solve aborts the
+   run with the rendered diagnostic. *)
+let tran_exn ?options netlist ~h ~t_stop ~record =
+  match Lattice_spice.Transient.run_diag ?options netlist ~h ~t_stop ~record () with
+  | Ok r -> r
+  | Error f -> failwith (Lattice_spice.Transient.pp_failure f)
+
+let dc_exn ?plan netlist =
+  match Lattice_spice.Dcop.solve_diag ?plan netlist with
+  | Ok (x, _) -> x
+  | Error f -> failwith ("all DC strategies failed: " ^ Lattice_spice.Dcop.pp_failure f)
+
 let experiments () =
   print_endline "==================================================================";
   print_endline " Reproduction of every table and figure (paper vs measured)";
@@ -63,8 +75,8 @@ let bench_transient =
           ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
       in
       ignore
-        (Lattice_spice.Transient.run lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9
-           ~t_stop:100e-9 ~record:[ "out" ] ())))
+        (tran_exn lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9 ~t_stop:100e-9
+           ~record:[ "out" ])))
 
 let bench_series_dc =
   Test.make ~name:"Fig12a: DC solve of 21-switch chain" (Staged.stage (fun () ->
@@ -101,8 +113,8 @@ let transient_once integrator =
   in
   let options = { Lattice_spice.Transient.default_options with integrator } in
   ignore
-    (Lattice_spice.Transient.run ~options lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9
-       ~t_stop:50e-9 ~record:[ "out" ] ())
+    (tran_exn ~options lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9 ~t_stop:50e-9
+       ~record:[ "out" ])
 
 let transient_with_types types =
   let config = { Lattice_spice.Lattice_circuit.default_config with types } in
@@ -110,9 +122,7 @@ let transient_with_types types =
     Lattice_spice.Lattice_circuit.build ~config Lattice_synthesis.Library.xor3_3x3
       ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
   in
-  ignore
-    (Lattice_spice.Transient.run lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9 ~t_stop:50e-9
-       ~record:[ "out" ] ())
+  ignore (tran_exn lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9 ~t_stop:50e-9 ~record:[ "out" ])
 
 let bench_model_level1 =
   Test.make ~name:"ablation: XOR3 transient, level-1 switches" (Staged.stage (fun () ->
@@ -131,7 +141,7 @@ let bench_complementary_dc =
           ~stimulus:(fun _ -> Lattice_spice.Source.Dc 1.2)
           ()
       in
-      ignore (Lattice_spice.Dcop.solve lc.Lattice_spice.Lattice_circuit.netlist)))
+      ignore (dc_exn lc.Lattice_spice.Lattice_circuit.netlist)))
 
 let bench_optimizer =
   Test.make ~name:"ExtVIa: optimizer (analytic) on majority-3" (Staged.stage (fun () ->
@@ -147,9 +157,12 @@ let bench_ac =
         Lattice_spice.Lattice_circuit.build Lattice_synthesis.Library.xor3_3x3
           ~stimulus:(fun _ -> Lattice_spice.Source.Dc 0.0)
       in
-      ignore
-        (Lattice_spice.Ac.sweep lc.Lattice_spice.Lattice_circuit.netlist ~source:"VDD"
-           ~output:"out" ~f_start:1e4 ~f_stop:1e10 ~points_per_decade:10)))
+      match
+        Lattice_spice.Ac.sweep lc.Lattice_spice.Lattice_circuit.netlist ~source:"VDD"
+          ~output:"out" ~f_start:1e4 ~f_stop:1e10 ~points_per_decade:10
+      with
+      | Ok _ -> ()
+      | Error f -> failwith ("all DC strategies failed: " ^ Lattice_spice.Dcop.pp_failure f)))
 
 let bench_monte_carlo =
   Test.make ~name:"Ext: Monte-Carlo die (8 DC solves, perturbed)" (Staged.stage (fun () ->
@@ -189,7 +202,7 @@ let bench_integrator_trap =
   Test.make ~name:"ablation: transient trapezoidal" (Staged.stage (fun () ->
       transient_once Lattice_spice.Transient.Trapezoidal))
 
-(* --- sparse vs dense MNA engine (DESIGN.md, "Sparse MNA engine") ------ *)
+(* --- sparse MNA engine at two sizes (DESIGN.md, "Sparse MNA engine") -- *)
 
 let lattice_6x6_grid =
   let entries =
@@ -199,36 +212,20 @@ let lattice_6x6_grid =
   in
   Lattice_core.Grid.create 6 6 entries
 
-let transient_with_engine engine grid ~t_stop =
+let transient_of_grid grid ~t_stop =
   let lc =
     Lattice_spice.Lattice_circuit.build grid
       ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
   in
-  let options =
-    { Lattice_spice.Transient.default_options with
-      Lattice_spice.Transient.dc = { Lattice_spice.Dcop.default_options with engine } }
-  in
-  ignore
-    (Lattice_spice.Transient.run ~options lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9
-       ~t_stop ~record:[ "out" ] ())
-
-let bench_engine_xor3_dense =
-  Test.make ~name:"ablation: XOR3 transient 100ns, dense engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Dense Lattice_synthesis.Library.xor3_3x3
-        ~t_stop:100e-9))
+  ignore (tran_exn lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9 ~t_stop ~record:[ "out" ])
 
 let bench_engine_xor3_sparse =
   Test.make ~name:"ablation: XOR3 transient 100ns, sparse engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Sparse Lattice_synthesis.Library.xor3_3x3
-        ~t_stop:100e-9))
-
-let bench_engine_6x6_dense =
-  Test.make ~name:"ablation: 6x6 lattice transient 50ns, dense engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Dense lattice_6x6_grid ~t_stop:50e-9))
+      transient_of_grid Lattice_synthesis.Library.xor3_3x3 ~t_stop:100e-9))
 
 let bench_engine_6x6_sparse =
   Test.make ~name:"ablation: 6x6 lattice transient 50ns, sparse engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Sparse lattice_6x6_grid ~t_stop:50e-9))
+      transient_of_grid lattice_6x6_grid ~t_stop:50e-9))
 
 (* --- parallel batch engine (DESIGN.md, "Parallel batch engine") ------- *)
 
@@ -304,9 +301,7 @@ let all_tests =
     bench_paths_brute;
     bench_integrator_be;
     bench_integrator_trap;
-    bench_engine_xor3_dense;
     bench_engine_xor3_sparse;
-    bench_engine_6x6_dense;
     bench_engine_6x6_sparse;
     bench_model_level1;
     bench_model_level3;
@@ -337,12 +332,9 @@ let allocation_check () =
       ~stimulus:(fun _ -> Lattice_spice.Source.Dc 1.2)
   in
   let netlist = lc.Lattice_spice.Lattice_circuit.netlist in
-  let options =
-    { Lattice_spice.Dcop.default_options with
-      Lattice_spice.Dcop.engine = Lattice_spice.Dcop.Sparse }
-  in
-  let plan = Lattice_spice.Dcop.plan_for options netlist in
-  let x0 = Lattice_spice.Dcop.solve ~options ?plan netlist in
+  let options = Lattice_spice.Dcop.default_options in
+  let plan = Some (Lattice_spice.Stamp_plan.compile netlist) in
+  let x0 = dc_exn ?plan netlist in
   let dst = Array.make (Array.length x0) 0.0 in
   let solve () =
     ignore
@@ -521,9 +513,7 @@ let obs_kernel () =
     Lattice_spice.Lattice_circuit.build Lattice_synthesis.Library.xor3_3x3
       ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
   in
-  ignore
-    (Lattice_spice.Transient.run lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9
-       ~t_stop:50e-9 ~record:[ "out" ] ())
+  ignore (tran_exn lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9 ~t_stop:50e-9 ~record:[ "out" ])
 
 let time_obs_kernel n =
   let best = ref infinity in

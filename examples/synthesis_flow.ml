@@ -41,7 +41,11 @@ let () =
   for m = 0 to combos - 1 do
     let stimulus v = Lattice_spice.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
     let lc = Lattice_spice.Lattice_circuit.build grid ~stimulus in
-    let x = Lattice_spice.Dcop.solve lc.Lattice_spice.Lattice_circuit.netlist in
+    let x =
+      match Lattice_spice.Dcop.solve_diag lc.Lattice_spice.Lattice_circuit.netlist with
+      | Ok (x, _) -> x
+      | Error f -> failwith ("all DC strategies failed: " ^ Lattice_spice.Dcop.pp_failure f)
+    in
     let out_node =
       Lattice_spice.Netlist.node lc.Lattice_spice.Lattice_circuit.netlist
         lc.Lattice_spice.Lattice_circuit.output_node

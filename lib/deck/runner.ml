@@ -130,9 +130,11 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
     in
     let points_per_decade = if smoke then Int.min points_per_decade 3 else points_per_decade in
     let response =
-      try Sp.Ac.sweep net ~source ~output ~f_start ~f_stop ~points_per_decade with
-      | Invalid_argument msg -> fail "ac sweep: %s" msg
-      | Sp.Dcop.Convergence_failure msg -> fail "ac operating point failed: %s" msg
+      match Sp.Ac.sweep net ~source ~output ~f_start ~f_stop ~points_per_decade with
+      | Ok r -> r
+      | Error f ->
+        fail "ac operating point failed: all DC strategies failed: %s" (Sp.Dcop.pp_failure f)
+      | exception Invalid_argument msg -> fail "ac sweep: %s" msg
     in
     Ac_result
       {

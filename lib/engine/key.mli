@@ -13,10 +13,6 @@
 val dc_op :
   ?options:Lattice_spice.Dcop.options -> ?time:float -> Lattice_spice.Netlist.t -> string
 
-(** [dc_options_digest options] — digest of just the solver options
-    (every tolerance, the continuation ladder, the engine choice). *)
-val dc_options_digest : Lattice_spice.Dcop.options -> string
-
 (** [custom parts] — generic key for non-circuit jobs (device sweeps,
     derived analyses): digest of the tagged parts in order. *)
 val custom : [ `S of string | `F of float | `I of int ] list -> string

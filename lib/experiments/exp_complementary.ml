@@ -32,7 +32,11 @@ let build_circuit style ~stimulus =
 let static_power style m =
   let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
   let lc = build_circuit style ~stimulus in
-  let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+  let x =
+    match Sp.Dcop.solve_diag lc.Sp.Lattice_circuit.netlist with
+    | Ok (x, _) -> x
+    | Error f -> failwith ("all DC strategies failed: " ^ Sp.Dcop.pp_failure f)
+  in
   match Sp.Netlist.vsource_index lc.Sp.Lattice_circuit.netlist "VDD" with
   | Some idx ->
     let i_into_source = x.(Sp.Netlist.vsource_row lc.Sp.Lattice_circuit.netlist idx) in
@@ -45,8 +49,12 @@ let run_style ?(bit_time = 100e-9) ?(h = 0.5e-9) style =
     build_circuit style ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd ~bit_time)
   in
   let r =
-    Sp.Transient.run lc.Sp.Lattice_circuit.netlist ~h ~t_stop:(8.0 *. bit_time)
-      ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
+    match
+      Sp.Transient.run_diag lc.Sp.Lattice_circuit.netlist ~h ~t_stop:(8.0 *. bit_time)
+        ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
+    with
+    | Ok r -> r
+    | Error f -> failwith (Sp.Transient.pp_failure f)
   in
   let out = Sp.Transient.signal r lc.Sp.Lattice_circuit.output_node in
   let times = r.Sp.Transient.times in

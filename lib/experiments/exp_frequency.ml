@@ -34,8 +34,12 @@ let bandwidth style ~state =
   in
   let lc = build style ~stimulus in
   let response =
-    Sp.Ac.sweep lc.Sp.Lattice_circuit.netlist ~source:"VDD" ~output:"out" ~f_start:1e4
-      ~f_stop:1e10 ~points_per_decade:10
+    match
+      Sp.Ac.sweep lc.Sp.Lattice_circuit.netlist ~source:"VDD" ~output:"out" ~f_start:1e4
+        ~f_stop:1e10 ~points_per_decade:10
+    with
+    | Ok r -> r
+    | Error f -> failwith ("all DC strategies failed: " ^ Sp.Dcop.pp_failure f)
   in
   (Sp.Ac.f_3db response, response)
 
@@ -51,8 +55,12 @@ let run_style ?(bit_time = 100e-9) style =
     build style ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd ~bit_time)
   in
   let r =
-    Sp.Transient.run lc.Sp.Lattice_circuit.netlist ~h:0.5e-9 ~t_stop:(8.0 *. bit_time)
-      ~record:[] ~record_currents:[ "VDD" ] ()
+    match
+      Sp.Transient.run_diag lc.Sp.Lattice_circuit.netlist ~h:0.5e-9 ~t_stop:(8.0 *. bit_time)
+        ~record:[] ~record_currents:[ "VDD" ] ()
+    with
+    | Ok r -> r
+    | Error f -> failwith (Sp.Transient.pp_failure f)
   in
   let i_vdd = Sp.Transient.branch_current r "VDD" in
   {

@@ -19,8 +19,12 @@ let run ?(integrator = Sp.Transient.Trapezoidal) ?(bit_time = 100e-9) ?(h = 0.5e
   in
   let options = { Sp.Transient.default_options with integrator } in
   let r =
-    Sp.Transient.run ~options lc.Sp.Lattice_circuit.netlist ~h ~t_stop:(8.0 *. bit_time)
-      ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
+    match
+      Sp.Transient.run_diag ~options lc.Sp.Lattice_circuit.netlist ~h ~t_stop:(8.0 *. bit_time)
+        ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
+    with
+    | Ok r -> r
+    | Error f -> failwith (Sp.Transient.pp_failure f)
   in
   let out = Sp.Transient.signal r lc.Sp.Lattice_circuit.output_node in
   let times = r.Sp.Transient.times in

@@ -134,7 +134,11 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
     Array.init states (fun m ->
         let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
         let lc = Sp.Lattice_circuit.build ~config impl.grid ~stimulus in
-        let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+        let x =
+          match Sp.Dcop.solve_diag lc.Sp.Lattice_circuit.netlist with
+          | Ok (x, _) -> x
+          | Error f -> failwith ("all DC strategies failed: " ^ Sp.Dcop.pp_failure f)
+        in
         match Sp.Netlist.vsource_index lc.Sp.Lattice_circuit.netlist "VDD" with
         | Some idx -> -.x.(Sp.Netlist.vsource_row lc.Sp.Lattice_circuit.netlist idx) *. vdd
         | None -> assert false)
@@ -146,9 +150,13 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
       ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd ~bit_time)
   in
   let r =
-    Sp.Transient.run lc.Sp.Lattice_circuit.netlist ~h:0.5e-9
-      ~t_stop:(float_of_int states *. bit_time)
-      ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
+    match
+      Sp.Transient.run_diag lc.Sp.Lattice_circuit.netlist ~h:0.5e-9
+        ~t_stop:(float_of_int states *. bit_time)
+        ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
+    with
+    | Ok r -> r
+    | Error f -> failwith (Sp.Transient.pp_failure f)
   in
   let out = Sp.Transient.signal r lc.Sp.Lattice_circuit.output_node in
   let v_low, v_high = Sp.Measure.steady_levels r.Sp.Transient.times out ~settle:(bit_time /. 4.0) in

@@ -1,5 +1,3 @@
-module Matrix = Lattice_numerics.Matrix
-module Lu = Lattice_numerics.Lu
 module Sparse = Lattice_numerics.Sparse
 
 type point = { freq_hz : float; magnitude : float; phase_deg : float }
@@ -27,34 +25,6 @@ let b_entries caps =
       add i2 i1 (-.f))
     caps;
   !out
-
-(* Dense reference path: rebuild and factor the full 2n x 2n augmented
-   system at every frequency. *)
-let solver_dense netlist ~x_op ~caps =
-  let g_matrix, _ =
-    Mna.stamp netlist ~x:x_op ~time:0.0 ~gmin:Dcop.default_options.Dcop.gmin_final ~gshunt:0.0
-      ~source_scale:1.0 ~caps:None
-  in
-  let n = Netlist.unknowns netlist in
-  fun ~w ~source_row ->
-    (* real augmented system [[G, -B]; [B, G]] *)
-    let a = Matrix.create (2 * n) (2 * n) in
-    for r = 0 to n - 1 do
-      for c = 0 to n - 1 do
-        let g = Matrix.get g_matrix r c in
-        Matrix.set a r c g;
-        Matrix.set a (n + r) (n + c) g
-      done
-    done;
-    List.iter
-      (fun (r, c, coef) ->
-        let y = w *. coef in
-        Matrix.add_to a r (n + c) (-.y);
-        Matrix.add_to a (n + r) c y)
-      (b_entries caps);
-    let b = Array.make (2 * n) 0.0 in
-    b.(source_row) <- 1.0;
-    Lu.solve_dense a b
 
 (* Compiled path: the augmented pattern is built once; each frequency
    blits the cached G blocks, writes the scaled B slots, and reuses the
@@ -124,7 +94,7 @@ let solver_sparse plan ~x_op ~caps =
     Sparse.solve_in_place f rhs;
     rhs
 
-let sweep ?(engine = Dcop.Auto) netlist ~source ~output ~f_start ~f_stop ~points_per_decade =
+let sweep netlist ~source ~output ~f_start ~f_stop ~points_per_decade =
   if f_start <= 0.0 || f_stop <= f_start then invalid_arg "Ac.sweep: bad frequency range";
   if points_per_decade < 1 then invalid_arg "Ac.sweep: need at least 1 point per decade";
   let source_row =
@@ -134,35 +104,33 @@ let sweep ?(engine = Dcop.Auto) netlist ~source ~output ~f_start ~f_stop ~points
   in
   let out_index = Netlist.node_index (Netlist.node netlist output) in
   if out_index < 0 then invalid_arg "Ac.sweep: output is ground";
-  let options = { Dcop.default_options with engine } in
-  let plan = Dcop.plan_for options netlist in
-  let x_op = Dcop.solve ~options ?plan netlist in
-  let n = Netlist.unknowns netlist in
-  let caps = cap_stamps netlist in
-  let solver =
-    match plan with
-    | Some plan -> solver_sparse plan ~x_op ~caps
-    | None -> solver_dense netlist ~x_op ~caps
-  in
-  let solve_at freq =
-    let w = 2.0 *. Float.pi *. freq in
-    let x = solver ~w ~source_row in
-    let re = x.(out_index) and im = x.(n + out_index) in
-    {
-      freq_hz = freq;
-      magnitude = sqrt ((re *. re) +. (im *. im));
-      phase_deg = Float.atan2 im re *. 180.0 /. Float.pi;
-    }
-  in
-  let decades = log10 (f_stop /. f_start) in
-  let npoints = Int.max 2 (1 + int_of_float (Float.round (decades *. float_of_int points_per_decade))) in
-  let points =
-    List.init npoints (fun i ->
-        let t = float_of_int i /. float_of_int (npoints - 1) in
-        solve_at (f_start *. (10.0 ** (decades *. t))))
-  in
-  let dc_gain = match points with p :: _ -> p.magnitude | [] -> 0.0 in
-  { points; dc_gain }
+  let plan = Stamp_plan.compile netlist in
+  match Dcop.solve_diag ~plan netlist with
+  | Error f -> Error f
+  | Ok (x_op, _) ->
+    let n = Netlist.unknowns netlist in
+    let solver = solver_sparse plan ~x_op ~caps:(cap_stamps netlist) in
+    let solve_at freq =
+      let w = 2.0 *. Float.pi *. freq in
+      let x = solver ~w ~source_row in
+      let re = x.(out_index) and im = x.(n + out_index) in
+      {
+        freq_hz = freq;
+        magnitude = sqrt ((re *. re) +. (im *. im));
+        phase_deg = Float.atan2 im re *. 180.0 /. Float.pi;
+      }
+    in
+    let decades = log10 (f_stop /. f_start) in
+    let npoints =
+      Int.max 2 (1 + int_of_float (Float.round (decades *. float_of_int points_per_decade)))
+    in
+    let points =
+      List.init npoints (fun i ->
+          let t = float_of_int i /. float_of_int (npoints - 1) in
+          solve_at (f_start *. (10.0 ** (decades *. t))))
+    in
+    let dc_gain = match points with p :: _ -> p.magnitude | [] -> 0.0 in
+    Ok { points; dc_gain }
 
 let arrays response =
   let fs = Array.of_list (List.map (fun p -> p.freq_hz) response.points) in

@@ -6,8 +6,8 @@
     capacitor by its admittance [j w C], applies a unit AC excitation to
     one voltage source and solves the complex MNA system
     [(G + j B) x = b] over a frequency sweep. The complex system is solved
-    as the equivalent real block system [[G, -B; B, G]]. On the compiled
-    sparse engine the augmented pattern and its symbolic analysis are
+    as the equivalent real block system [[G, -B; B, G]] on the compiled
+    sparse engine: the augmented pattern and its symbolic analysis are
     built once; each frequency only rewrites the [B] slots and runs a
     numeric-only refactorization.
 
@@ -25,22 +25,21 @@ type response = {
   dc_gain : float;  (** magnitude of the lowest swept frequency *)
 }
 
-(** [sweep ?engine netlist ~source ~output ~f_start ~f_stop
-    ~points_per_decade] runs the sweep (log-spaced). [source] names the
-    excited voltage source (its DC value sets the operating point; the AC
-    excitation is 1 V), [output] the observed node. [engine] selects the
-    linear-solver backend for both the operating point and the sweep
-    (default [Auto]). Raises [Invalid_argument] for unknown names,
-    [Dcop.Convergence_failure] if the operating point fails. *)
+(** [sweep netlist ~source ~output ~f_start ~f_stop ~points_per_decade]
+    runs the sweep (log-spaced). [source] names the excited voltage
+    source (its DC value sets the operating point; the AC excitation is
+    1 V), [output] the observed node. One stamp plan serves both the
+    operating point and the sweep. [Error] carries the operating
+    point's {!Dcop.failure}; [Invalid_argument] is raised for unknown
+    names and a bad frequency range. *)
 val sweep :
-  ?engine:Dcop.engine ->
   Netlist.t ->
   source:string ->
   output:string ->
   f_start:float ->
   f_stop:float ->
   points_per_decade:int ->
-  response
+  (response, Dcop.failure) result
 
 (** [f_3db response] is the first frequency at which the magnitude drops
     below [dc_gain / sqrt 2], interpolated; [None] if it never does. *)

@@ -1,21 +1,15 @@
 (** DC operating-point analysis: damped Newton-Raphson with gmin stepping
-    and a source-stepping fallback, over either the compiled sparse MNA
-    engine ({!Stamp_plan}) or the dense reference engine.
+    and a source-stepping fallback over the compiled sparse MNA engine
+    ({!Stamp_plan}). Every solve runs on a stamp plan; the dense LU
+    reference that checks it lives in the test suite, not here.
 
-    Two entry points compute the operating point: {!solve_diag} returns a
-    structured [result] carrying per-strategy diagnostics (and, on
-    failure, the residual norm and worst offending nodes), while the
-    legacy {!solve} is a thin wrapper that raises
-    [Convergence_failure]. *)
+    {!solve_diag} is the one entry point: it returns a structured
+    [result] carrying per-strategy diagnostics (and, on failure, the
+    residual norm and worst offending nodes). *)
 
+(** The per-rung failure signal of {!newton_into}; {!solve_diag} turns
+    it into the next rung of the ladder or an [Error]. *)
 exception Convergence_failure of string
-
-(** Which linear-algebra backend drives Newton. [Auto] (the default)
-    compiles a sparse stamp plan when the system has at least
-    {!sparse_threshold} unknowns and falls back to the dense engine
-    below that; [Dense] and [Sparse] force a backend (the dense path is
-    the correctness oracle for the sparse one). *)
-type engine = Auto | Dense | Sparse
 
 type options = {
   max_iterations : int;  (** Newton iterations per continuation step (default 200) *)
@@ -25,7 +19,6 @@ type options = {
   gmin_steps : float list;  (** continuation ladder, largest first *)
   source_steps : int;  (** ramp points for the source-stepping fallback (default 10) *)
   damping : float;  (** max voltage change per Newton step, V (default 1.0) *)
-  engine : engine;  (** linear-solver backend (default [Auto]) *)
   conv_trace : bool;
       (** record the per-iteration Newton update norm into
           [diagnostics.conv_trace] (default [false]; costs one extra
@@ -78,14 +71,12 @@ val pp_failure : failure -> string
 (** One-line rendering of a failure: message, ladder, residual, worst
     nodes. *)
 
-val sparse_threshold : int
-(** Unknown-count at which [Auto] switches from dense LU to the compiled
-    sparse engine. *)
-
 val plan_for : options -> Netlist.t -> Stamp_plan.t option
-(** The stamp plan the given options would use for this netlist (compiled
-    fresh), or [None] for the dense engine. Callers running many solves
-    (transient, sweeps) compile once and pass the plan back in. *)
+(** A freshly compiled stamp plan for this netlist; always [Some], and
+    [options] is ignored. Compatibility shim kept for perfbench's replay,
+    which calls it; new code calls [Stamp_plan.compile]. It retires
+    together with the [Lattice_serve.Json] and [Lattice_engine.Cancel]
+    compatibility aliases. *)
 
 val residual_report :
   ?time:float ->
@@ -102,40 +93,23 @@ val residual_report :
     returns its inf-norm plus the [worst] (default 3) node names ranked
     by residual current — the structured payload of {!failure}. *)
 
-(** [newton netlist ~options ~x0 ~time ~gmin ~source_scale ~caps] runs
-    plain Newton at a fixed continuation point ([gshunt] adds a
-    node-to-ground conductance, default 0); returns the solution and the
-    number of Newton iterations spent, or raises [Convergence_failure].
-    [plan] supplies a precompiled sparse stamp plan (overrides
-    [options.engine]); [iter_count] is incremented once per iteration as
-    it happens, so iterations spent in attempts that end in
-    [Convergence_failure] are still counted. [on_iter] is called once
-    per iteration with the damped update's inf-norm |dx| (the
-    convergence-trace hook; the norm is only computed when the hook is
-    present). [cancel] is checked at every iteration boundary; a fired
-    token raises {!Cancel.Cancelled} with the last iterate left in the
-    destination buffer. *)
-val newton :
-  ?gshunt:float ->
-  ?plan:Stamp_plan.t ->
-  ?iter_count:int ref ->
-  ?on_iter:(float -> unit) ->
-  ?cancel:Cancel.t ->
-  Netlist.t ->
-  options:options ->
-  x0:Lattice_numerics.Vec.t ->
-  time:float ->
-  gmin:float ->
-  source_scale:float ->
-  caps:Mna.cap_companion option ->
-  Lattice_numerics.Vec.t * int
-
-(** [newton_into ... ~x0 ~dst ...] is {!newton} writing the solution into
-    the caller-supplied [dst] (length = unknowns; may alias [x0]) and
-    returning only the iteration count. With a warm [plan] this performs
-    no allocation at all — the transient inner loop runs on it. When it
+(** [newton_into netlist ~options ~x0 ~dst ~time ~gmin ~source_scale
+    ~caps] runs plain Newton at a fixed continuation point ([gshunt]
+    adds a node-to-ground conductance, default 0), writes the solution
+    into the caller-supplied [dst] (length = unknowns; may alias [x0])
+    and returns the number of Newton iterations spent, or raises
+    [Convergence_failure]. [plan] supplies a precompiled stamp plan
+    (compiled fresh when absent); with a warm [plan] this performs no
+    allocation at all — the transient inner loop runs on it. When it
     raises [Convergence_failure], [dst] holds the last Newton iterate,
-    so callers can produce residual diagnostics at the failure point. *)
+    so callers can produce residual diagnostics at the failure point.
+    [iter_count] is incremented once per iteration as it happens, so
+    iterations spent in attempts that end in [Convergence_failure] are
+    still counted. [on_iter] is called once per iteration with the
+    damped update's inf-norm |dx| (the convergence-trace hook; the norm
+    is only computed when the hook is present). [cancel] is checked at
+    every iteration boundary; a fired token raises {!Cancel.Cancelled}
+    with the last iterate left in [dst]. *)
 val newton_into :
   ?gshunt:float ->
   ?plan:Stamp_plan.t ->
@@ -169,17 +143,3 @@ val solve_diag :
   ?cancel:Cancel.t ->
   Netlist.t ->
   (Lattice_numerics.Vec.t * diagnostics, failure) result
-
-(** [solve ?options ?plan ?x0 ?time netlist] is the legacy wrapper over
-    {!solve_diag}: returns the solution vector alone and raises
-    [Convergence_failure] (with the rendered {!failure}) if every
-    strategy fails. *)
-val solve :
-  ?options:options ->
-  ?plan:Stamp_plan.t ->
-  ?x0:Lattice_numerics.Vec.t ->
-  ?time:float ->
-  ?cancel:Cancel.t ->
-  Netlist.t ->
-  Lattice_numerics.Vec.t
-

@@ -26,7 +26,11 @@ let build ~n ?(types = Fts.default_types) ?(gate_v = 1.2) ?(terminal_cap = Fts.d
 
 let current ~n ?types ?gate_v ~v_top () =
   let chain = build ~n ?types ?gate_v ~v_top () in
-  let x = Dcop.solve chain.netlist in
+  let x =
+    match Dcop.solve_diag chain.netlist with
+    | Ok (x, _) -> x
+    | Error f -> failwith ("all DC strategies failed: " ^ Dcop.pp_failure f)
+  in
   (* branch current positive into the source's + terminal; conduction pulls
      current out of the top node, so negate *)
   -.x.(Netlist.vsource_row chain.netlist chain.supply_index)

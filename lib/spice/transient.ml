@@ -102,7 +102,8 @@ exception Step_failed of float * float * Dcop.failure
 
 let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_stop ~record
     ?(record_currents = []) () =
-  if h <= 0.0 || t_stop <= 0.0 then invalid_arg "Transient.run: h and t_stop must be positive";
+  if h <= 0.0 || t_stop <= 0.0 then
+    invalid_arg "Transient.run_diag: h and t_stop must be positive";
   let record_nodes = Array.of_list (List.map (fun name -> Netlist.node netlist name) record) in
   let record_rows =
     Array.of_list
@@ -110,12 +111,13 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
          (fun name ->
            match Netlist.vsource_index netlist name with
            | Some idx -> Netlist.vsource_row netlist idx
-           | None -> invalid_arg ("Transient.run: unknown voltage source " ^ name))
+           | None -> invalid_arg ("Transient.run_diag: unknown voltage source " ^ name))
          record_currents)
   in
-  (* one compiled plan (or none, for the dense engine) reused by the DC
-     solve and by every Newton solve of every step *)
-  let plan = Dcop.plan_for options.dc netlist in
+  (* one compiled plan reused by the DC solve and by every Newton solve
+     of every step; boxed once here so the step loop passes it without
+     allocating *)
+  let plan = Some (Stamp_plan.compile netlist) in
   let newton_total = ref 0 in
   let steps_taken = ref 0 in
   let halvings = ref 0 in
@@ -311,10 +313,4 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
       Trace.end_span tr_sp;
       raise e)
 
-let run ?options ?cancel netlist ~h ~t_stop ~record ?record_currents () =
-  match run_diag ?options ?cancel netlist ~h ~t_stop ~record ?record_currents () with
-  | Ok r -> r
-  | Error f ->
-    raise
-      (Dcop.Convergence_failure
-         (Printf.sprintf "transient at t=%.4g: %s" f.at_time (Dcop.pp_failure f.dc_failure)))
+let pp_failure f = Printf.sprintf "transient at t=%.4g: %s" f.at_time (Dcop.pp_failure f.dc_failure)

@@ -7,9 +7,10 @@
     integrator. On a Newton failure the step is retried with halved step
     size (up to [max_step_halvings]).
 
-    {!run_diag} returns a structured outcome carrying step statistics and,
-    on failure, a {!Dcop.failure} diagnostic; the legacy {!run} is a thin
-    wrapper raising [Dcop.Convergence_failure]. *)
+    Every Newton solve runs on one stamp plan compiled per run.
+    {!run_diag} is the one entry point: it returns a structured outcome
+    carrying step statistics and, on failure, a {!Dcop.failure}
+    diagnostic. *)
 
 type integrator = Backward_euler | Trapezoidal
 
@@ -67,7 +68,7 @@ val signal : result -> string -> float array
 val branch_current : result -> string -> float array
 
 val sample_times : h:float -> t_stop:float -> float array
-(** The time grid [run] simulates: uniform steps of [h], with the final
+(** The time grid {!run_diag} simulates: uniform steps of [h], with the final
     sample pinned to exactly [t_stop]. When [t_stop] is not an integer
     multiple of [h] (beyond 1e-6 relative tolerance) the grid gains one
     final {e partial} step instead of silently rounding the duration. *)
@@ -90,16 +91,6 @@ val run_diag :
   unit ->
   (result, failure) Stdlib.result
 
-(** [run ?options netlist ~h ~t_stop ~record ?record_currents ()] is the
-    legacy wrapper over {!run_diag}: returns the result alone and raises
-    [Dcop.Convergence_failure] with the rendered diagnostic on failure. *)
-val run :
-  ?options:options ->
-  ?cancel:Cancel.t ->
-  Netlist.t ->
-  h:float ->
-  t_stop:float ->
-  record:string list ->
-  ?record_currents:string list ->
-  unit ->
-  result
+(** One-line rendering of a failure: the failing step's start time and
+    the rendered {!Dcop.failure}. *)
+val pp_failure : failure -> string

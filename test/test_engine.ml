@@ -121,7 +121,16 @@ let test_key_soundness () =
     { Sp.Dcop.default_options with Sp.Dcop.abstol = 2.0 *. Sp.Dcop.default_options.Sp.Dcop.abstol }
   in
   let k_opts = Key.dc_op ~options:opts (build_netlist grid) in
-  Alcotest.(check bool) "solver options change the key" false (String.equal k1 k_opts)
+  Alcotest.(check bool) "solver options change the key" false (String.equal k1 k_opts);
+  (* every options field reaches the key: an equal copy keys the same,
+     and the conv_trace switch alone keys apart *)
+  let netlist = build_netlist grid in
+  let copy = { Sp.Dcop.default_options with Sp.Dcop.conv_trace = false } in
+  Alcotest.(check string) "equal options share a key" (Key.dc_op netlist)
+    (Key.dc_op ~options:copy netlist);
+  let traced = { Sp.Dcop.default_options with Sp.Dcop.conv_trace = true } in
+  Alcotest.(check bool) "conv_trace changes the key" false
+    (String.equal (Key.dc_op netlist) (Key.dc_op ~options:traced netlist))
 
 (* --- dc_op memoization ---------------------------------------------------- *)
 

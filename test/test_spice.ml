@@ -1,5 +1,6 @@
 (* Tests for the SPICE-like circuit engine. *)
 
+open Support
 module Sp = Lattice_spice
 module L1 = Lattice_mosfet.Level1
 
@@ -236,7 +237,7 @@ let test_dcop_divider () =
   Sp.Netlist.vsource ckt "V" top Sp.Netlist.ground (Sp.Source.Dc 10.0);
   Sp.Netlist.resistor ckt "R1" top mid 1e3;
   Sp.Netlist.resistor ckt "R2" mid Sp.Netlist.ground 3e3;
-  let x = Sp.Dcop.solve ckt in
+  let x = dc_exn ckt in
   check_close "mid" 1e-9 7.5 (Sp.Mna.voltage x mid)
 
 let test_dcop_branch_current () =
@@ -244,7 +245,7 @@ let test_dcop_branch_current () =
   let top = Sp.Netlist.node ckt "top" in
   Sp.Netlist.vsource ckt "V" top Sp.Netlist.ground (Sp.Source.Dc 10.0);
   Sp.Netlist.resistor ckt "R" top Sp.Netlist.ground 2e3;
-  let x = Sp.Dcop.solve ckt in
+  let x = dc_exn ckt in
   (* positive branch current flows into the + terminal of the source *)
   check_close "branch current" 1e-12 (-5e-3) x.(Sp.Netlist.vsource_row ckt 0)
 
@@ -253,7 +254,7 @@ let test_dcop_isource () =
   let a = Sp.Netlist.node ckt "a" in
   Sp.Netlist.isource ckt "I" Sp.Netlist.ground a (Sp.Source.Dc 1e-3);
   Sp.Netlist.resistor ckt "R" a Sp.Netlist.ground 4e3;
-  let x = Sp.Dcop.solve ckt in
+  let x = dc_exn ckt in
   check_close "1mA * 4k" 1e-9 4.0 (Sp.Mna.voltage x a)
 
 let test_dcop_diode_connected_fet () =
@@ -265,7 +266,7 @@ let test_dcop_diode_connected_fet () =
   Sp.Netlist.resistor ckt "R" vdd d 100e3;
   let p = { nmos with L1.lambda = 0.0 } in
   Sp.Netlist.mosfet ckt "M" ~drain:d ~gate:d ~source:Sp.Netlist.ground p;
-  let x = Sp.Dcop.solve ckt in
+  let x = dc_exn ckt in
   let v = Sp.Mna.voltage x d in
   (* diode-connected => saturation: (3 - v)/R = beta/2 (v - vth)^2 *)
   let beta = L1.beta p in
@@ -282,7 +283,7 @@ let test_dcop_inverter_transfer () =
     Sp.Netlist.vsource ckt "VG" g Sp.Netlist.ground (Sp.Source.Dc vin);
     Sp.Netlist.resistor ckt "RL" vdd out 500e3;
     Sp.Netlist.mosfet ckt "M" ~drain:out ~gate:g ~source:Sp.Netlist.ground nmos;
-    let x = Sp.Dcop.solve ckt in
+    let x = dc_exn ckt in
     Sp.Mna.voltage x out
   in
   Alcotest.(check bool) "low in, high out" true (run 0.0 > 1.19);
@@ -297,7 +298,7 @@ let test_dcop_floating_through_fets () =
   Sp.Netlist.vsource ckt "V" top Sp.Netlist.ground (Sp.Source.Dc 1.0);
   Sp.Netlist.mosfet ckt "M1" ~drain:top ~gate:Sp.Netlist.ground ~source:mid nmos;
   Sp.Netlist.mosfet ckt "M2" ~drain:mid ~gate:Sp.Netlist.ground ~source:Sp.Netlist.ground nmos;
-  let x = Sp.Dcop.solve ckt in
+  let x = dc_exn ckt in
   let v = Sp.Mna.voltage x mid in
   Alcotest.(check bool) "mid between rails" true (v >= -1e-6 && v <= 1.0 +. 1e-6)
 
@@ -317,7 +318,7 @@ let rc_circuit () =
 let test_transient_rc_charge () =
   (* tau = 1 us; compare V(out) with the analytic exponential *)
   let ckt = rc_circuit () in
-  let r = Sp.Transient.run ckt ~h:20e-9 ~t_stop:5e-6 ~record:[ "out" ] () in
+  let r = tran_exn ckt ~h:20e-9 ~t_stop:5e-6 ~record:[ "out" ] () in
   let out = Sp.Transient.signal r "out" in
   let tau = 1e-6 in
   let worst = ref 0.0 in
@@ -334,7 +335,7 @@ let test_transient_trap_beats_be () =
   let error integrator =
     let ckt = rc_circuit () in
     let options = { Sp.Transient.default_options with Sp.Transient.integrator } in
-    let r = Sp.Transient.run ~options ckt ~h:100e-9 ~t_stop:3e-6 ~record:[ "out" ] () in
+    let r = tran_exn ~options ckt ~h:100e-9 ~t_stop:3e-6 ~record:[ "out" ] () in
     let out = Sp.Transient.signal r "out" in
     let acc = ref 0.0 in
     Array.iteri
@@ -350,7 +351,7 @@ let test_transient_trap_beats_be () =
 
 let test_transient_records_input () =
   let ckt = rc_circuit () in
-  let r = Sp.Transient.run ckt ~h:50e-9 ~t_stop:1e-6 ~record:[ "in"; "out" ] () in
+  let r = tran_exn ckt ~h:50e-9 ~t_stop:1e-6 ~record:[ "in"; "out" ] () in
   let vin = Sp.Transient.signal r "in" in
   check_close "input recorded" 1e-9 1.0 vin.(Array.length vin - 1);
   Alcotest.(check bool) "unknown signal raises with names" true
@@ -365,7 +366,7 @@ let test_transient_conserves_dc () =
   let a = Sp.Netlist.node ckt "a" in
   Sp.Netlist.vsource ckt "V" a Sp.Netlist.ground (Sp.Source.Dc 2.0);
   Sp.Netlist.resistor ckt "R" a Sp.Netlist.ground 1e3;
-  let r = Sp.Transient.run ckt ~h:1e-9 ~t_stop:50e-9 ~record:[ "a" ] () in
+  let r = tran_exn ckt ~h:1e-9 ~t_stop:50e-9 ~record:[ "a" ] () in
   let va = Sp.Transient.signal r "a" in
   Array.iter (fun v -> check_close "steady" 1e-9 2.0 v) va
 
@@ -443,6 +444,11 @@ let test_measure_rejects_bad_span () =
 
 (* --- Ac --------------------------------------------------------------------- *)
 
+let ac_exn netlist ~source ~output ~f_start ~f_stop ~points_per_decade =
+  match Sp.Ac.sweep netlist ~source ~output ~f_start ~f_stop ~points_per_decade with
+  | Ok r -> r
+  | Error f -> Alcotest.fail (Sp.Dcop.pp_failure f)
+
 let rc_lowpass () =
   let ckt = Sp.Netlist.create () in
   let inn = Sp.Netlist.node ckt "in" and out = Sp.Netlist.node ckt "out" in
@@ -453,7 +459,7 @@ let rc_lowpass () =
 
 let test_ac_rc_corner () =
   let r =
-    Sp.Ac.sweep (rc_lowpass ()) ~source:"VIN" ~output:"out" ~f_start:1e3 ~f_stop:1e8
+    ac_exn (rc_lowpass ()) ~source:"VIN" ~output:"out" ~f_start:1e3 ~f_stop:1e8
       ~points_per_decade:20
   in
   check_close "dc gain 1" 1e-3 1.0 r.Sp.Ac.dc_gain;
@@ -470,7 +476,7 @@ let test_ac_rc_corner () =
 let test_ac_rolloff () =
   (* single pole: one decade above the corner the gain is ~ -20 dB/dec *)
   let r =
-    Sp.Ac.sweep (rc_lowpass ()) ~source:"VIN" ~output:"out" ~f_start:1e3 ~f_stop:1e8
+    ac_exn (rc_lowpass ()) ~source:"VIN" ~output:"out" ~f_start:1e3 ~f_stop:1e8
       ~points_per_decade:20
   in
   let g1 = Sp.Ac.magnitude_at r 1.59e6 and g2 = Sp.Ac.magnitude_at r 1.59e7 in
@@ -503,7 +509,7 @@ let test_ac_divider_flat () =
   Sp.Netlist.resistor ckt "R1" inn out 1e3;
   Sp.Netlist.resistor ckt "R2" out Sp.Netlist.ground 3e3;
   let r =
-    Sp.Ac.sweep ckt ~source:"VIN" ~output:"out" ~f_start:1e3 ~f_stop:1e9 ~points_per_decade:5
+    ac_exn ckt ~source:"VIN" ~output:"out" ~f_start:1e3 ~f_stop:1e9 ~points_per_decade:5
   in
   List.iter (fun p -> check_close "flat 0.75" 1e-9 0.75 p.Sp.Ac.magnitude) r.Sp.Ac.points
 
@@ -518,7 +524,7 @@ let test_energy_from_supply () =
   let a = Sp.Netlist.node ckt "a" in
   Sp.Netlist.vsource ckt "V1" a Sp.Netlist.ground (Sp.Source.Dc 2.0);
   Sp.Netlist.resistor ckt "R" a Sp.Netlist.ground 1e3;
-  let r = Sp.Transient.run ckt ~h:1e-9 ~t_stop:20e-9 ~record:[] ~record_currents:[ "V1" ] () in
+  let r = tran_exn ckt ~h:1e-9 ~t_stop:20e-9 ~record:[] ~record_currents:[ "V1" ] () in
   let e = Sp.Measure.energy_from_supply ~vdd:2.0 r.Sp.Transient.times (Sp.Transient.branch_current r "V1") in
   check_close "80 pJ" 1e-15 80e-12 e
 
@@ -535,7 +541,7 @@ let switch_resistance gate_v =
     ~south:Sp.Netlist.ground
     ~west:(Sp.Netlist.node ckt "w")
     ~gate:g Sp.Fts.default_types;
-  let x = Sp.Dcop.solve ckt in
+  let x = dc_exn ckt in
   let i = -.x.(Sp.Netlist.vsource_row ckt 0) in
   0.1 /. i
 
@@ -592,7 +598,7 @@ let test_fts_terminal_symmetry () =
     in
     Sp.Fts.instantiate ckt ~name:"X" ~north:nodes.(0) ~east:nodes.(1) ~south:nodes.(2)
       ~west:nodes.(3) ~gate:g Sp.Fts.default_types;
-    let x = Sp.Dcop.solve ckt in
+    let x = dc_exn ckt in
     0.1 /. -.x.(Sp.Netlist.vsource_row ckt 0)
   in
   let r_ns = resistance ~from_t:0 ~to_t:2 in
@@ -610,7 +616,7 @@ let test_lattice_circuit_xor3_dc () =
   for m = 0 to 7 do
     let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then 1.2 else 0.0) in
     let lc = Sp.Lattice_circuit.build grid ~stimulus in
-    let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+    let x = dc_exn lc.Sp.Lattice_circuit.netlist in
     let out = Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out" in
     let v = Sp.Mna.voltage x out in
     let xor3 = (m land 1) lxor ((m lsr 1) land 1) lxor ((m lsr 2) land 1) = 1 in
@@ -637,12 +643,12 @@ let test_lattice_circuit_const_grid () =
   (* an always-on 1x1 lattice pulls the output low; always-off stays high *)
   let low_grid, _ = Lattice_core.Grid.of_strings [ [ "1" ] ] in
   let lc = Sp.Lattice_circuit.build low_grid ~stimulus:(fun _ -> Sp.Source.Dc 0.0) in
-  let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+  let x = dc_exn lc.Sp.Lattice_circuit.netlist in
   let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
   Alcotest.(check bool) "const 1 pulls low" true (v < 0.3);
   let high_grid, _ = Lattice_core.Grid.of_strings [ [ "0" ] ] in
   let lc = Sp.Lattice_circuit.build high_grid ~stimulus:(fun _ -> Sp.Source.Dc 0.0) in
-  let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+  let x = dc_exn lc.Sp.Lattice_circuit.netlist in
   let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
   Alcotest.(check bool) "const 0 stays high" true (v > 1.1)
 
@@ -652,7 +658,7 @@ let test_lattice_circuit_maj3 () =
   for m = 0 to 7 do
     let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then 1.2 else 0.0) in
     let lc = Sp.Lattice_circuit.build grid ~stimulus in
-    let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+    let x = dc_exn lc.Sp.Lattice_circuit.netlist in
     let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
     let ones = (m land 1) + ((m lsr 1) land 1) + ((m lsr 2) land 1) in
     if ones >= 2 then Alcotest.(check bool) (Printf.sprintf "maj %d low" m) true (v < 0.3)
@@ -668,7 +674,7 @@ let test_lattice_circuit_complementary_dc () =
       Sp.Lattice_circuit.build_complementary ~pull_up:Lattice_synthesis.Library.xnor3_3x3
         ~pull_down:Lattice_synthesis.Library.xor3_3x3 ~stimulus ()
     in
-    let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+    let x = dc_exn lc.Sp.Lattice_circuit.netlist in
     let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
     let xor3 = (m land 1) lxor ((m lsr 1) land 1) lxor ((m lsr 2) land 1) = 1 in
     if xor3 then Alcotest.(check bool) (Printf.sprintf "combo %d low" m) true (v < 0.1)
@@ -690,12 +696,12 @@ let test_transient_current_recording () =
   let a = Sp.Netlist.node ckt "a" in
   Sp.Netlist.vsource ckt "V1" a Sp.Netlist.ground (Sp.Source.Dc 2.0);
   Sp.Netlist.resistor ckt "R" a Sp.Netlist.ground 1e3;
-  let r = Sp.Transient.run ckt ~h:1e-9 ~t_stop:20e-9 ~record:[ "a" ] ~record_currents:[ "V1" ] () in
+  let r = tran_exn ckt ~h:1e-9 ~t_stop:20e-9 ~record:[ "a" ] ~record_currents:[ "V1" ] () in
   let i = Sp.Transient.branch_current r "V1" in
   Array.iter (fun x -> check_close "constant -2mA" 1e-9 (-2e-3) x) i;
   Alcotest.(check bool) "unknown source rejected" true
     (match
-       Sp.Transient.run ckt ~h:1e-9 ~t_stop:2e-9 ~record:[] ~record_currents:[ "nope" ] ()
+       tran_exn ckt ~h:1e-9 ~t_stop:2e-9 ~record:[] ~record_currents:[ "nope" ] ()
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
@@ -728,7 +734,7 @@ let test_gate_cap_slows_input_edge () =
     Sp.Lattice_circuit.build ~config Lattice_synthesis.Library.xor3_3x3
       ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
   in
-  let r = Sp.Transient.run lc.Sp.Lattice_circuit.netlist ~h:1e-9 ~t_stop:400e-9 ~record:[ "out" ] () in
+  let r = tran_exn lc.Sp.Lattice_circuit.netlist ~h:1e-9 ~t_stop:400e-9 ~record:[ "out" ] () in
   let out = Sp.Transient.signal r "out" in
   let ok = ref true in
   for k = 0 to 7 do
@@ -763,7 +769,7 @@ let prop_circuit_matches_connectivity =
       for m = 0 to 7 do
         let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then 1.2 else 0.0) in
         let lc = Sp.Lattice_circuit.build grid ~stimulus in
-        let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+        let x = dc_exn lc.Sp.Lattice_circuit.netlist in
         let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
         let conducts = Lattice_core.Connectivity.eval grid m in
         if not (Bool.equal (v < 0.6) conducts) then ok := false
@@ -783,7 +789,7 @@ let test_lattice_circuit_level3_model () =
     let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then 1.2 else 0.0) in
     let solve config =
       let lc = Sp.Lattice_circuit.build ~config Lattice_synthesis.Library.xor3_3x3 ~stimulus in
-      let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+      let x = dc_exn lc.Sp.Lattice_circuit.netlist in
       Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out")
     in
     let v3 = solve config and v1 = solve Sp.Lattice_circuit.default_config in
@@ -800,35 +806,47 @@ let test_lattice_circuit_level3_model () =
     true
     (!v_ol_l3 >= !v_ol_l1 -. 1e-9)
 
-(* --- Sparse engine parity ------------------------------------------------ *)
+(* --- Runtime path vs dense oracle ---------------------------------------- *)
 
-(* Tightened solver tolerances so both engines converge to well below the
-   1e-9 comparison threshold; only the linear-algebra backend differs. *)
-let tight_options engine =
-  { Sp.Dcop.default_options with Sp.Dcop.reltol = 1e-9; abstol = 1e-12; engine }
+(* Tightened solver tolerances so the runtime path and the dense oracle
+   ([Support.dense_dc] and friends) both converge to well below the 1e-9
+   comparison threshold; only the linear algebra differs. *)
+let tight_options = { Sp.Dcop.default_options with Sp.Dcop.reltol = 1e-9; abstol = 1e-12 }
 
-(* A random mixed netlist: a grid of nodes joined by random resistors,
-   MOSFET switches and capacitors, every node bled to ground so the DC
-   operating point exists. *)
+let tight_tran = { Sp.Transient.default_options with Sp.Transient.dc = tight_options }
+
+(* A random mixed netlist of 2-39 unknowns: a rows x cols grid of nodes
+   (1-6 each) joined by random resistors, MOSFET switches and
+   capacitors, every node bled to ground so the DC operating point
+   exists. Node n0_0 is driven from VDD; half the netlists also get a
+   pulsed input "in" that gates some of the switches. Returns the
+   netlist, its far-corner node and the node names worth recording. *)
 let random_mixed_netlist seed =
   let rng = Random.State.make [| seed; 0x5EED |] in
   let ckt = Sp.Netlist.create () in
-  let rows = 2 + Random.State.int rng 3 in
-  let cols = 2 + Random.State.int rng 3 in
+  let rows = 1 + Random.State.int rng 6 in
+  let cols = 1 + Random.State.int rng 6 in
   let node r c = Sp.Netlist.node ckt (Printf.sprintf "n%d_%d" r c) in
-  let vin = Sp.Netlist.node ckt "in" in
   Sp.Netlist.vsource ckt "VDD" (node 0 0) Sp.Netlist.ground (Sp.Source.Dc 1.2);
-  Sp.Netlist.vsource ckt "VIN" vin Sp.Netlist.ground
-    (Sp.Source.Pulse
-       { v1 = 0.0; v2 = 1.2; delay = 5e-9; rise = 2e-9; fall = 2e-9; width = 15e-9; period = 40e-9 });
-  let nmos = { L1.kp = 2e-5; vth = 0.4; lambda = 0.02; w = 700e-9; l = 350e-9 } in
+  let vin =
+    if Random.State.bool rng then begin
+      let vin = Sp.Netlist.node ckt "in" in
+      Sp.Netlist.vsource ckt "VIN" vin Sp.Netlist.ground
+        (Sp.Source.Pulse
+           { v1 = 0.0; v2 = 1.2; delay = 5e-9; rise = 2e-9; fall = 2e-9; width = 15e-9; period = 40e-9 });
+      Some vin
+    end
+    else None
+  in
   let id = ref 0 in
   let fresh prefix = incr id; Printf.sprintf "%s%d" prefix !id in
   let connect a b =
     match Random.State.int rng 3 with
     | 0 -> Sp.Netlist.resistor ckt (fresh "R") a b (1e3 +. Random.State.float rng 1e5)
     | 1 ->
-      let gate = if Random.State.bool rng then vin else node 0 0 in
+      let gate =
+        match vin with Some vin when Random.State.bool rng -> vin | Some _ | None -> node 0 0
+      in
       Sp.Netlist.mosfet ckt (fresh "M") ~drain:a ~gate ~source:b nmos
     | _ ->
       Sp.Netlist.resistor ckt (fresh "R") a b (1e3 +. Random.State.float rng 1e4);
@@ -847,52 +865,62 @@ let random_mixed_netlist seed =
   if Random.State.bool rng then
     Sp.Netlist.isource ckt "IB" (node (rows - 1) (cols - 1)) Sp.Netlist.ground
       (Sp.Source.Dc 1e-6);
-  (ckt, Printf.sprintf "n%d_%d" (rows - 1) (cols - 1))
+  let out = Printf.sprintf "n%d_%d" (rows - 1) (cols - 1) in
+  (ckt, out, if Option.is_some vin then [ out; "in" ] else [ out ])
 
-let test_sparse_dense_dcop_parity () =
-  for seed = 0 to 11 do
-    let ckt, _ = random_mixed_netlist seed in
-    let x_dense = Sp.Dcop.solve ~options:(tight_options Sp.Dcop.Dense) ckt in
-    let x_sparse = Sp.Dcop.solve ~options:(tight_options Sp.Dcop.Sparse) ckt in
-    let d = Lattice_numerics.Vec.max_abs_diff x_dense x_sparse in
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: |dense - sparse| = %.3g < 1e-9" seed d)
-      true (d < 1e-9)
-  done
+let seed_gen = QCheck2.Gen.int_bound 1_000_000
 
-let test_sparse_dense_transient_parity () =
-  for seed = 0 to 5 do
-    let ckt, out_name = random_mixed_netlist seed in
-    let run engine =
-      let options =
-        { Sp.Transient.default_options with Sp.Transient.dc = tight_options engine }
+let prop_dcop_matches_dense =
+  QCheck2.Test.make ~name:"random netlists: DC parity" ~count:100 ~print:string_of_int seed_gen
+    (fun seed ->
+      let ckt, _, _ = random_mixed_netlist seed in
+      let n = Sp.Netlist.unknowns ckt in
+      let d =
+        Lattice_numerics.Vec.max_abs_diff
+          (dense_dc ~options:tight_options ckt)
+          (dc_exn ~options:tight_options ckt)
       in
-      Sp.Transient.run ~options ckt ~h:1e-9 ~t_stop:60e-9 ~record:[ out_name; "in" ]
-        ~record_currents:[ "VDD" ] ()
-    in
-    let rd = run Sp.Dcop.Dense and rs = run Sp.Dcop.Sparse in
-    let worst = ref 0.0 in
-    List.iter
-      (fun name ->
-        let a = Sp.Transient.signal rd name and b = Sp.Transient.signal rs name in
-        worst := Float.max !worst (Lattice_numerics.Vec.max_abs_diff a b))
-      [ out_name; "in" ];
-    let ia = Sp.Transient.branch_current rd "VDD"
-    and ib = Sp.Transient.branch_current rs "VDD" in
-    worst := Float.max !worst (Lattice_numerics.Vec.max_abs_diff ia ib);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: transient |dense - sparse| = %.3g < 1e-9" seed !worst)
-      true (!worst < 1e-9);
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: newton iterations counted" seed)
-      true
-      (rd.Sp.Transient.newton_iterations_total >= 60
-      && rs.Sp.Transient.newton_iterations_total >= 60)
-  done
+      if n < 2 || n > 40 then QCheck2.Test.fail_reportf "%d unknowns outside 2-40" n;
+      if d >= 1e-9 then QCheck2.Test.fail_reportf "%d unknowns: |runtime - dense| = %.3g" n d;
+      true)
+
+(* runtime transient vs the fixed-step dense stepper: node waveforms and
+   the supply current, on runs that took no step halving *)
+let check_tran_parity ~label ckt ~t_stop ~record ~record_currents =
+  let r = tran_exn ~options:tight_tran ckt ~h:1e-9 ~t_stop ~record ~record_currents () in
+  Alcotest.(check int) (label ^ ": no halvings, so the fixed-step oracle applies") 0
+    r.Sp.Transient.stats.Sp.Transient.halvings;
+  let volts, amps =
+    dense_tran ~options:tight_tran ckt ~h:1e-9 ~t_stop ~record ~record_currents
+  in
+  let worst = ref 0.0 in
+  List.iter
+    (fun (name, w) ->
+      worst := Float.max !worst (Lattice_numerics.Vec.max_abs_diff w (Sp.Transient.signal r name)))
+    volts;
+  List.iter
+    (fun (name, w) ->
+      worst :=
+        Float.max !worst
+          (Lattice_numerics.Vec.max_abs_diff w (Sp.Transient.branch_current r name)))
+    amps;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: transient |runtime - dense| = %.3g < 1e-9" label !worst)
+    true (!worst < 1e-9);
+  r
+
+let prop_transient_matches_dense =
+  QCheck2.Test.make ~name:"random netlists: transient parity" ~count:20 ~print:string_of_int
+    seed_gen (fun seed ->
+      let ckt, _, record = random_mixed_netlist seed in
+      let label = Printf.sprintf "seed %d (%d unknowns)" seed (Sp.Netlist.unknowns ckt) in
+      let r = check_tran_parity ~label ckt ~t_stop:60e-9 ~record ~record_currents:[ "VDD" ] in
+      if r.Sp.Transient.newton_iterations_total < 60 then
+        QCheck2.Test.fail_reportf "%s: Newton iterations not counted" label;
+      true)
 
 (* a fixed 6x6 lattice (36 four-terminal switches) driven through its
-   input combinations: the sparse engine must match the dense one on the
-   full transient *)
+   input combinations: the full transient against the dense stepper *)
 let lattice_6x6_grid () =
   let entries =
     Array.init 36 (fun i ->
@@ -901,58 +929,42 @@ let lattice_6x6_grid () =
   in
   Lattice_core.Grid.create 6 6 entries
 
-let test_lattice_6x6_sparse_matches_dense () =
+let test_lattice_6x6_matches_dense () =
   let lc =
     Sp.Lattice_circuit.build (lattice_6x6_grid ())
       ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:10e-9)
   in
-  let ckt = lc.Sp.Lattice_circuit.netlist in
-  Alcotest.(check bool) "big enough to exercise sparse auto-dispatch" true
-    (Sp.Netlist.unknowns ckt >= Sp.Dcop.sparse_threshold);
-  let run engine =
-    let options =
-      { Sp.Transient.default_options with Sp.Transient.dc = tight_options engine }
-    in
-    Sp.Transient.run ~options ckt ~h:1e-9 ~t_stop:40e-9 ~record:[ "out" ] ()
-  in
-  let rd = run Sp.Dcop.Dense and rs = run Sp.Dcop.Sparse in
-  let d =
-    Lattice_numerics.Vec.max_abs_diff
-      (Sp.Transient.signal rd "out")
-      (Sp.Transient.signal rs "out")
-  in
-  Alcotest.(check bool) (Printf.sprintf "6x6 transient diff %.3g < 1e-9" d) true (d < 1e-9)
+  ignore
+    (check_tran_parity ~label:"6x6 lattice" lc.Sp.Lattice_circuit.netlist ~t_stop:40e-9
+       ~record:[ "out" ] ~record_currents:[])
 
-let test_ac_sparse_matches_dense () =
-  (* RC low-pass plus a FET load: sweep both engines over 4 decades *)
+let test_ac_matches_dense () =
+  (* three-stage RC ladder with a FET load at the output: 5 unknowns *)
   let ckt = Sp.Netlist.create () in
   let vin = Sp.Netlist.node ckt "in" and out = Sp.Netlist.node ckt "out" in
   Sp.Netlist.vsource ckt "V1" vin Sp.Netlist.ground (Sp.Source.Dc 0.6);
-  Sp.Netlist.resistor ckt "R1" vin out 10e3;
-  Sp.Netlist.capacitor ckt "C1" out Sp.Netlist.ground 1e-12;
-  Sp.Netlist.mosfet ckt "M1" ~drain:out ~gate:vin ~source:Sp.Netlist.ground nmos;
-  (* pad with a resistor ladder so the sparse threshold is crossed *)
-  let prev = ref out in
-  for k = 1 to 20 do
-    let n = Sp.Netlist.node ckt (Printf.sprintf "pad%d" k) in
-    Sp.Netlist.resistor ckt (Printf.sprintf "RP%d" k) !prev n 1e3;
-    Sp.Netlist.capacitor ckt (Printf.sprintf "CP%d" k) n Sp.Netlist.ground 1e-13;
-    prev := n
-  done;
-  let sweep engine =
-    Sp.Ac.sweep ~engine ckt ~source:"V1" ~output:"out" ~f_start:1e3 ~f_stop:1e7
-      ~points_per_decade:5
+  let stage name a b =
+    Sp.Netlist.resistor ckt ("R" ^ name) a b 10e3;
+    Sp.Netlist.capacitor ckt ("C" ^ name) b Sp.Netlist.ground 1e-12
   in
-  let rd = sweep Sp.Dcop.Dense and rs = sweep Sp.Dcop.Sparse in
+  let n1 = Sp.Netlist.node ckt "n1" and n2 = Sp.Netlist.node ckt "n2" in
+  stage "1" vin n1;
+  stage "2" n1 n2;
+  stage "3" n2 out;
+  Sp.Netlist.mosfet ckt "M1" ~drain:out ~gate:vin ~source:Sp.Netlist.ground nmos;
+  Alcotest.(check int) "5 unknowns" 5 (Sp.Netlist.unknowns ckt);
+  let r =
+    ac_exn ckt ~source:"V1" ~output:"out" ~f_start:1e3 ~f_stop:1e9 ~points_per_decade:5
+  in
+  let freqs = List.map (fun (p : Sp.Ac.point) -> p.Sp.Ac.freq_hz) r.Sp.Ac.points in
   List.iter2
-    (fun (pd : Sp.Ac.point) (ps : Sp.Ac.point) ->
-      check_close
-        (Printf.sprintf "magnitude at %.3g Hz" pd.Sp.Ac.freq_hz)
-        1e-9 pd.Sp.Ac.magnitude ps.Sp.Ac.magnitude;
-      check_close
-        (Printf.sprintf "phase at %.3g Hz" pd.Sp.Ac.freq_hz)
-        1e-7 pd.Sp.Ac.phase_deg ps.Sp.Ac.phase_deg)
-    rd.Sp.Ac.points rs.Sp.Ac.points
+    (fun (p : Sp.Ac.point) (magnitude, phase_deg) ->
+      check_close (Printf.sprintf "magnitude at %.3g Hz" p.Sp.Ac.freq_hz) 1e-9 magnitude
+        p.Sp.Ac.magnitude;
+      check_close (Printf.sprintf "phase at %.3g Hz" p.Sp.Ac.freq_hz) 1e-7 phase_deg
+        p.Sp.Ac.phase_deg)
+    r.Sp.Ac.points
+    (dense_ac ckt ~source:"V1" ~output:"out" ~freqs)
 
 (* --- Structured diagnostics ---------------------------------------------- *)
 
@@ -973,7 +985,7 @@ let test_transient_partial_final_step () =
   let ts = Sp.Transient.sample_times ~h:1e-9 ~t_stop:(10e-9 *. (1.0 +. 1e-9)) in
   Alcotest.(check int) "near-multiple absorbed" 11 (Array.length ts);
   (* and the physics is right on the padded grid: RC charge to analytic *)
-  let r = Sp.Transient.run (rc_circuit ()) ~h:20e-9 ~t_stop:2.51e-6 ~record:[ "out" ] () in
+  let r = tran_exn (rc_circuit ()) ~h:20e-9 ~t_stop:2.51e-6 ~record:[ "out" ] () in
   let times = r.Sp.Transient.times in
   check_close "transient ends at t_stop" 1e-18 2.51e-6 times.(Array.length times - 1);
   let v = (Sp.Transient.signal r "out").(Array.length times - 1) in
@@ -1072,14 +1084,13 @@ let test_solve_diag_failure_ladder () =
     Alcotest.(check bool) "rendered failure mentions the ladder" true
       (String.length (Sp.Dcop.pp_failure f) > 20)
 
-let test_legacy_solve_raises_with_diagnostics () =
-  let ckt = unsolvable_circuit () in
-  match Sp.Dcop.solve ~options:hopeless_options ckt with
-  | exception Sp.Dcop.Convergence_failure msg ->
-    Alcotest.(check bool) "message carries the ladder" true
-      (String.length msg > 20);
-    (* the failure stays observable after the raise: every one of the 7
-       rungs is named in the message, with its iteration count *)
+let test_rendered_failure_names_rungs () =
+  match Sp.Dcop.solve_diag ~options:hopeless_options (unsolvable_circuit ()) with
+  | Ok _ -> Alcotest.fail "expected every strategy to fail"
+  | Error f ->
+    (* the rendered failure names every one of the 7 rungs with its
+       iteration count *)
+    let msg = Sp.Dcop.pp_failure f in
     List.iter
       (fun s ->
         let rung = Sp.Dcop.strategy_name s ^ ":" in
@@ -1090,7 +1101,6 @@ let test_legacy_solve_raises_with_diagnostics () =
           Plain; Gmin_stepping; Source_stepping; Damped_plain; Damped_gmin; Damped_source;
           Gshunt_ramp;
         ]
-  | _ -> Alcotest.fail "legacy solve should raise"
 
 let test_transient_diag_failure () =
   let ckt = unsolvable_circuit () in
@@ -1131,7 +1141,7 @@ let dc_out_voltage ?(defects = []) grid =
   let lc =
     Sp.Defects.build ~defects grid ~stimulus:(fun _ -> Sp.Source.Dc 0.0)
   in
-  let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
+  let x = dc_exn lc.Sp.Lattice_circuit.netlist in
   Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out")
 
 let test_defect_stuck_short_conducts () =
@@ -1219,7 +1229,7 @@ let test_defect_universe_size () =
 let test_sparse_dense_defect_parity () =
   (* a defect-injected near-singular netlist: the stuck-open site leaves
      internal nodes connected only through 1e10-ohm leaks, stressing the
-     conditioning of both engines the same way *)
+     conditioning of the runtime path and the dense oracle alike *)
   let grid = Lattice_synthesis.Library.xor3_3x3 in
   let defects =
     [
@@ -1231,13 +1241,13 @@ let test_sparse_dense_defect_parity () =
     let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then 1.2 else 0.0) in
     let lc = Sp.Defects.build ~defects grid ~stimulus in
     let ckt = lc.Sp.Lattice_circuit.netlist in
-    Alcotest.(check bool) "crosses the sparse threshold" true
-      (Sp.Netlist.unknowns ckt >= Sp.Dcop.sparse_threshold);
-    let x_dense = Sp.Dcop.solve ~options:(tight_options Sp.Dcop.Dense) ckt in
-    let x_sparse = Sp.Dcop.solve ~options:(tight_options Sp.Dcop.Sparse) ckt in
-    let d = Lattice_numerics.Vec.max_abs_diff x_dense x_sparse in
+    let d =
+      Lattice_numerics.Vec.max_abs_diff
+        (dense_dc ~options:tight_options ckt)
+        (dc_exn ~options:tight_options ckt)
+    in
     Alcotest.(check bool)
-      (Printf.sprintf "combo %d: defective |dense - sparse| = %.3g < 1e-8" m d)
+      (Printf.sprintf "combo %d: defective |runtime - dense| = %.3g < 1e-8" m d)
       true (d < 1e-8)
   done
 
@@ -1353,12 +1363,10 @@ let () =
         ] );
       ( "sparse_engine",
         [
-          Alcotest.test_case "random netlists: DC parity" `Quick test_sparse_dense_dcop_parity;
-          Alcotest.test_case "random netlists: transient parity" `Quick
-            test_sparse_dense_transient_parity;
-          Alcotest.test_case "6x6 lattice transient parity" `Slow
-            test_lattice_6x6_sparse_matches_dense;
-          Alcotest.test_case "AC sweep parity" `Quick test_ac_sparse_matches_dense;
+          QCheck_alcotest.to_alcotest prop_dcop_matches_dense;
+          QCheck_alcotest.to_alcotest prop_transient_matches_dense;
+          Alcotest.test_case "6x6 lattice transient parity" `Slow test_lattice_6x6_matches_dense;
+          Alcotest.test_case "AC sweep parity" `Quick test_ac_matches_dense;
         ] );
       ( "diagnostics",
         [
@@ -1368,8 +1376,8 @@ let () =
           Alcotest.test_case "solve_diag: convergence trace" `Quick test_solve_diag_conv_trace;
           Alcotest.test_case "solve_diag: full ladder failure" `Quick
             test_solve_diag_failure_ladder;
-          Alcotest.test_case "legacy solve raises with diagnostics" `Quick
-            test_legacy_solve_raises_with_diagnostics;
+          Alcotest.test_case "rendered failure names rungs" `Quick
+            test_rendered_failure_names_rungs;
           Alcotest.test_case "transient failure diagnostics" `Quick test_transient_diag_failure;
           Alcotest.test_case "transient step stats" `Quick test_transient_run_diag_stats;
         ] );
